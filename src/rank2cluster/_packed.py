@@ -26,7 +26,9 @@ import numpy as np
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - declared dependency, belt and braces
+except ImportError:
+    # same answers, but CPython's big-int divmod is quadratic: one large
+    # exact division then takes seconds to minutes instead of milliseconds
     mpz = int
 
 # Largest pack buffer we are willing to build, in bytes.  Operations that

@@ -105,7 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=("laurent", "positivity"),
         help=f"comma-separated subset of {','.join(SWEEP_CHECKS)}",
     )
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument(
+        "--budget-seconds",
+        type=float,
+        default=None,
+        help="checked between cells: later cells are reported inconclusive, "
+        "but a cell started before the deadline runs to its end",
+    )
     p.add_argument("--max-terms", type=int, default=None)
     _add_json(p)
 

@@ -42,10 +42,14 @@ class ExchangeType:
         return ExchangeType(self.c, self.b)
 
 
-# cluster_variable memo, keyed (b, c, k).  Entries above the term limit are
+# cluster_variable memo, keyed (b, c, k) with k >= 3: indices k <= 0 are
+# served by reflection and never stored.  Entries above the term limit are
 # recomputed on demand instead of cached; insert-only, idempotent.
 _CACHE: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _CACHE_TERM_LIMIT = 500_000
+
+# negated minimal exponent vectors of the seed pair (x_1, x_2)
+_SEED_DELTAS = ((-1, 0), (0, -1))
 
 
 def clear_cache() -> None:
@@ -65,42 +69,25 @@ def _maybe_cache(key: tuple[int, int, int], value: LaurentPolynomial) -> None:
 def cluster_variable(t: ExchangeType, k: int) -> LaurentPolynomial:
     """The element x_k written in the initial cluster (x_1, x_2).
 
-    Iterates the recurrence away from the seed, dividing exactly at every
+    Iterates the recurrence up from the seed, dividing exactly at every
     step; NotDivisible propagating out of here means an implementation
-    bug, since exactness is guaranteed for the pattern.
+    bug, since exactness is guaranteed for the pattern.  An index k <= 0
+    is the mirror image of x_{3-k} of type (c, b) with x1 and x2 swapped.
     """
-    got = _CACHE.get((t.b, t.c, k))
-    if got is not None:
-        return got
-    x1 = LaurentPolynomial.variable(X_CONTEXT, "x1")
-    x2 = LaurentPolynomial.variable(X_CONTEXT, "x2")
-    if k == 1:
-        return x1
-    if k == 2:
-        return x2
-    if k > 2:
-        prev, cur = x1, x2
-        j = 2
-        while j < k:
+    mirrored = k <= 0
+    if mirrored:
+        t, k = t.swapped, 3 - k
+    cur = _CACHE.get((t.b, t.c, k))
+    if cur is None:
+        prev = LaurentPolynomial.variable(X_CONTEXT, "x1")
+        cur = prev if k == 1 else LaurentPolynomial.variable(X_CONTEXT, "x2")
+        for j in range(2, k):
             nxt = _CACHE.get((t.b, t.c, j + 1))
             if nxt is None:
-                e = _step_exponent(t, j)
-                nxt = (cur ** e + 1).exact_div(prev)
+                nxt = (cur ** _step_exponent(t, j) + 1).exact_div(prev)
                 _maybe_cache((t.b, t.c, j + 1), nxt)
             prev, cur = cur, nxt
-            j += 1
-        return cur
-    cur, above = x1, x2
-    j = 1
-    while j > k:
-        prv = _CACHE.get((t.b, t.c, j - 1))
-        if prv is None:
-            e = _step_exponent(t, j)
-            prv = (cur ** e + 1).exact_div(above)
-            _maybe_cache((t.b, t.c, j - 1), prv)
-        cur, above = prv, cur
-        j -= 1
-    return cur
+    return cur.permute_variables({"x1": "x2", "x2": "x1"}) if mirrored else cur
 
 
 def expand_in_cluster(t: ExchangeType, k: int, m: int) -> LaurentPolynomial:
@@ -123,28 +110,23 @@ def d_vector(t: ExchangeType, k: int) -> tuple[int, int]:
     return cluster_variable(t, k).denominator_exponents()
 
 
-def _tropical_denominator(t: ExchangeType, k: int) -> tuple[int, int]:
+def _tropical_step(t: ExchangeType, j: int, lo, hi):
     # Negated minimal exponent vectors follow the recurrence tropically:
     # delta_{j+1} = e * max(delta_j, 0) - delta_{j-1}.  Integer-only, so
-    # sweep cells can be costed without touching any polynomial.
-    lo, hi = (-1, 0), (0, -1)  # delta_1, delta_2
+    # sweep cells are costed and periods ruled out without any polynomial.
+    e = _step_exponent(t, j)
+    return hi, tuple(e * max(x, 0) - y for x, y in zip(hi, lo))
+
+
+def _tropical_denominator(t: ExchangeType, k: int) -> tuple[int, int]:
+    if k <= 0:
+        return _tropical_denominator(t.swapped, 3 - k)[::-1]
+    lo, hi = _SEED_DELTAS
     if k == 1:
         return lo
-    if k == 2:
-        return hi
-    if k > 2:
-        j = 2
-        while j < k:
-            e = _step_exponent(t, j)
-            lo, hi = hi, tuple(e * max(x, 0) - y for x, y in zip(hi, lo))
-            j += 1
-        return hi
-    j = 1
-    while j > k:
-        e = _step_exponent(t, j)
-        lo, hi = tuple(e * max(x, 0) - y for x, y in zip(lo, hi)), lo
-        j -= 1
-    return lo
+    for j in range(2, k):
+        lo, hi = _tropical_step(t, j, lo, hi)
+    return hi
 
 
 def predicted_numerator_terms(t: ExchangeType, k: int) -> int:
@@ -159,13 +141,20 @@ def predicted_numerator_terms(t: ExchangeType, k: int) -> int:
 
 
 def detect_period(t: ExchangeType, max_period: int) -> int | None:
-    """Smallest p <= max_period with x_{k+p} = x_k for k in {1, 2}, or None."""
+    """Smallest p <= max_period with x_{k+p} = x_k for k in {1, 2}, or None.
+
+    Equal variables have equal minimal exponent vectors, so polynomials are
+    compared only where the tropical pair is back at the seed's.  For bc >= 4
+    it never is (Fomin-Zelevinsky, Cluster algebras I, section 6).
+    """
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
-    x1 = cluster_variable(t, 1)
-    x2 = cluster_variable(t, 2)
+    lo, hi = _SEED_DELTAS
     for p in range(1, max_period + 1):
-        if cluster_variable(t, 1 + p) == x1 and cluster_variable(t, 2 + p) == x2:
+        lo, hi = _tropical_step(t, p + 1, lo, hi)
+        if (lo, hi) == _SEED_DELTAS and all(
+            cluster_variable(t, i + p) == cluster_variable(t, i) for i in (1, 2)
+        ):
             return p
     return None
 
@@ -187,10 +176,12 @@ def check_positivity_range(
     nonnegative, and max-norm strictly growing away from the seed when
     bc >= 4).  Failure is recorded with a witness, never raised.
 
-    budget_seconds bounds wall-clock time; cells not started before the
-    deadline are reported inconclusive.  max_predicted_terms skips cells
-    whose numerator support bound exceeds it, also as inconclusive.  Both
-    guards keep a sweep honest about what it did not verify.
+    budget_seconds is checked between cells: cells not started before the
+    deadline are reported inconclusive, but a cell started before it runs
+    to its end, however long that takes (without gmpy2 a single (2,3)
+    x_11 cell runs for minutes).  max_predicted_terms skips cells whose
+    numerator support bound exceeds it, also as inconclusive.  Both guards
+    keep a sweep honest about what it did not verify.
     """
     for name in checks:
         if name not in SWEEP_CHECKS:

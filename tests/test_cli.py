@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rank2cluster
 from rank2cluster.cli import main
 
 GOLDEN_XM1 = "(1 + 3*x1^2 + 3*x1^4 + x1^6 + x2^3) / (x1*x2^3)"
@@ -35,6 +38,8 @@ def test_period_text(capsys):
     assert (code, out.strip()) == (0, "5")
     code, out, _ = run(capsys, "period", "--b", "2", "--c", "2", "--max", "12")
     assert (code, out.strip()) == (0, "none <= 12")
+    code, out, _ = run(capsys, "period", "--b", "2", "--c", "3", "--max", "10")
+    assert (code, out.strip()) == (0, "none <= 10")
 
 
 def test_ccmap_fold_text(capsys):
@@ -209,10 +214,14 @@ def test_seed_flag_overrides_env(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(rank2cluster.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rank2cluster", "period", "--b", "1", "--c", "3", "--max", "10"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rank2cluster.laurent import LaurentPolynomial
 from rank2cluster.rank2 import (
+    _CACHE,
     X_CONTEXT,
     Y_CONTEXT,
     ExchangeType,
@@ -153,15 +154,29 @@ def test_positivity_everywhere(b, c, k):
     assert cluster_variable(ExchangeType(b, c), k).is_positive()
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(-3, 6))
-@settings(max_examples=80, deadline=None)
-def test_swap_symmetry(b, c, k):
-    # reflecting the index about the seed swaps the exchange type
-    t = ExchangeType(b, c)
-    mirrored = cluster_variable(t.swapped, 3 - k).permute_variables(
-        {"x1": "x2", "x2": "x1"}
-    )
-    assert cluster_variable(t, k) == mirrored
+def _backward_reference(t, k):
+    # x_{j-1} = (x_j^e + 1) / x_{j+1}, walked down from the seed pair
+    above = X({(0, 1): 1})
+    cur = X({(1, 0): 1})
+    for j in range(1, k, -1):
+        e = t.b if j % 2 else t.c
+        above, cur = cur, (cur ** e + 1).exact_div(above)
+    return cur
+
+
+def test_reflection_matches_backward_recurrence():
+    for b in (1, 2, 3):
+        for c in (1, 2, 3):
+            t = ExchangeType(b, c)
+            for k in range(-4, 1):
+                assert cluster_variable(t, k) == _backward_reference(t, k), (b, c, k)
+
+
+def test_memo_holds_forward_steps_only():
+    clear_cache()
+    cluster_variable(T23, -4)
+    assert all(k >= 3 for _, _, k in _CACHE)
+    assert (3, 2, 7) in _CACHE
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +192,12 @@ def test_periods_of_finite_types():
 
 def test_no_period_at_affine_point():
     assert detect_period(ExchangeType(2, 2), 50) is None
+
+
+def test_no_period_for_wild_types():
+    # bc >= 4 is never periodic, and the answer needs no division
+    assert detect_period(T23, 10) is None
+    assert detect_period(ExchangeType(3, 3), 200) is None
 
 
 def test_detect_period_validation():
