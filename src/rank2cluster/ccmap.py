@@ -55,10 +55,13 @@ class BudgetExceeded(RuntimeError):
     """Module dimension total too large for Grassmannian enumeration."""
 
 
+def _u_variables(Q: Quiver) -> VariableContext:
+    return VariableContext(f"u_{q}" for q in Q.vertices)
+
+
 def u_context(b: int, c: int) -> VariableContext:
     """Variables u_v1..u_vb, u_w1..u_wc of the unfolded character ring."""
-    names = [f"u_v{i}" for i in range(1, b + 1)] + [f"u_w{j}" for j in range(1, c + 1)]
-    return VariableContext(names)
+    return _u_variables(kronecker_quiver(b, c))
 
 
 def _class_of(vertex: str) -> str:
@@ -135,39 +138,31 @@ def _resolve(b: int, c: int, vertex: str, shift: int) -> CCObject:
     Q.index(vertex)
     proj = {q: projective_dimension_vector(Q, q) for q in Q.vertices}
     inj = {q: injective_dimension_vector(Q, q) for q in Q.vertices}
+    # down from P_q[1] the walk enters at P_q (translate 0) and wraps at the
+    # injectives; up, it enters at I_q (translate 2) and wraps at projectives
+    if shift <= 0:
+        count, offset, start, wrap, direction = 1 - shift, 0, proj, inj, "backward"
+    else:
+        count, offset, start, wrap, direction = shift - 1, 2, inj, proj, "forward"
     kind = "shifted"
     at: str | tuple[int, ...] = vertex
-    anchor_side = ""
     anchor_vertex = vertex
     steps = 0
-    if shift <= 0:
-        for _ in range(1 - shift):
-            if kind == "shifted":
-                anchor_side, anchor_vertex, steps = "P", at, 0
-                kind, at = "module", proj[at]
+    for _ in range(count):
+        if kind == "shifted":
+            anchor_vertex, steps = at, 0
+            kind, at = "module", start[at]
+        else:
+            hit = _match(at, wrap)
+            if hit is not None:
+                kind, at = "shifted", hit
             else:
-                wrap = _match(at, inj)
-                if wrap is not None:
-                    kind, at = "shifted", wrap
-                else:
-                    at = coxeter_translate(Q, at, "backward")
-                    steps += 1
-    else:
-        for _ in range(shift - 1):
-            if kind == "shifted":
-                anchor_side, anchor_vertex, steps = "I", at, 0
-                kind, at = "module", inj[at]
-            else:
-                wrap = _match(at, proj)
-                if wrap is not None:
-                    kind, at = "shifted", wrap
-                else:
-                    at = coxeter_translate(Q, at, "forward")
-                    steps += 1
+                at = coxeter_translate(Q, at, direction)
+                steps += 1
     if kind == "shifted":
         return CCObject("shifted", _class_of(at), vertex=at)
     dims = tuple(int(x) for x in at)
-    translate = steps if anchor_side == "P" else steps + 2
+    translate = steps + offset
     hit = _match(dims, proj)
     if hit is not None:
         return CCObject("projective", _class_of(hit), vertex=hit, dims=dims, translate=translate)
@@ -201,21 +196,15 @@ def object_for_index(b: int, c: int, k: int) -> CCObject:
     return _resolve(b, c, vertex, m + 1)
 
 
-def cc_from_spec(
-    Q: Quiver,
-    spec: ModuleSpec,
-    seed: int = 0,
-    trials: int = 20,
-) -> LaurentPolynomial:
+def cc_from_spec(Q: Quiver, spec: ModuleSpec, seed: int = 0) -> LaurentPolynomial:
     """Character of the module described by spec, over the u-variables of Q."""
-    ctx = VariableContext(f"u_{q}" for q in Q.vertices)
     d = np.asarray(spec.dimension_vector, dtype=np.int64)
     if spec.kind == "generic" and int(d.sum()) > GENERIC_DIM_BUDGET:
         raise BudgetExceeded(
             f"dimension total {int(d.sum())} exceeds the enumeration budget "
             f"{GENERIC_DIM_BUDGET}"
         )
-    table = chi_table(spec, seed=seed, trials=trials)
+    table = chi_table(spec, seed=seed)
     C = euler_matrix(Q)
     terms: dict[tuple[int, ...], int] = {}
     for e, chi in table.items():
@@ -224,15 +213,14 @@ def cc_from_spec(
         ev = np.asarray(e, dtype=np.int64)
         exponents = tuple(int(x) for x in -(C.T @ ev) - C @ (d - ev))
         terms[exponents] = terms.get(exponents, 0) + chi
-    return LaurentPolynomial(ctx, terms)
+    return LaurentPolynomial(_u_variables(Q), terms)
 
 
-def cc_polynomial(Q: Quiver, obj: CCObject, seed: int = 0, trials: int = 20) -> LaurentPolynomial:
+def cc_polynomial(Q: Quiver, obj: CCObject, seed: int = 0) -> LaurentPolynomial:
     """Cluster character X of obj as a Laurent polynomial in the u-variables."""
     if obj.kind == "shifted":
-        ctx = VariableContext(f"u_{q}" for q in Q.vertices)
-        return LaurentPolynomial.variable(ctx, f"u_{obj.vertex}")
-    return cc_from_spec(Q, _module_spec(Q, obj), seed=seed, trials=trials)
+        return LaurentPolynomial.variable(_u_variables(Q), f"u_{obj.vertex}")
+    return cc_from_spec(Q, _module_spec(Q, obj), seed=seed)
 
 
 def fold(p: LaurentPolynomial, b: int, c: int) -> LaurentPolynomial:
@@ -289,21 +277,17 @@ def verify_exchange_relation(
     Q = kronecker_quiver(b, c)
     report = CheckReport(f"exchange triangle at (b,c)=({b},{c})")
     label = f"class {orbit_class} s={s}"
+    if orbit_class == "v":
+        own, other, count, factor_shift = "v1", "w", c, s
+    else:
+        own, other, count, factor_shift = "w1", "v", b, s + 1
     try:
-        if orbit_class == "v":
-            first = cc_polynomial(Q, _resolve(b, c, "v1", s), seed=seed)
-            second = cc_polynomial(Q, _resolve(b, c, "v1", s + 1), seed=seed)
-            factors = [
-                cc_polynomial(Q, _resolve(b, c, f"w{j}", s), seed=seed)
-                for j in range(1, c + 1)
-            ]
-        else:
-            first = cc_polynomial(Q, _resolve(b, c, "w1", s), seed=seed)
-            second = cc_polynomial(Q, _resolve(b, c, "w1", s + 1), seed=seed)
-            factors = [
-                cc_polynomial(Q, _resolve(b, c, f"v{i}", s + 1), seed=seed)
-                for i in range(1, b + 1)
-            ]
+        first = cc_polynomial(Q, _resolve(b, c, own, s), seed=seed)
+        second = cc_polynomial(Q, _resolve(b, c, own, s + 1), seed=seed)
+        factors = [
+            cc_polynomial(Q, _resolve(b, c, f"{other}{i}", factor_shift), seed=seed)
+            for i in range(1, count + 1)
+        ]
     except (*_RESOLUTION_ERRORS, BudgetExceeded) as exc:
         report.add(label, INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
         return report
@@ -340,9 +324,12 @@ def g_equivariance_check(
     """Check permute_variables(X_obj, g) = X_{g.obj} for a vertex symmetry g.
 
     g is given on vertex names, possibly partially (missing vertices are
-    fixed); it must permute sources among themselves and sinks among
-    themselves.
+    fixed); every key must be a vertex of Q, and g must permute sources
+    among themselves and sinks among themselves.
     """
+    unknown = sorted(set(g) - set(Q.vertices))
+    if unknown:
+        raise ValueError(f"permutation relabels vertices not in the quiver: {unknown}")
     full = {q: g.get(q, q) for q in Q.vertices}
     for q, image in full.items():
         if image not in Q.vertices:

@@ -6,15 +6,14 @@ interpolation holdout, or a budget guard stopped it).
 
 Every subcommand accepts --json; the payload is
 {"command": ..., "results": [...], "report": ...} with the report null
-for plain computations.  Seeds come from --seed, then the RANK2_SEED
-environment variable, then 0.
+for plain computations.  Subcommands that sample generic modules take
+--seed (default 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -68,7 +67,7 @@ def _add_bc(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $RANK2_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:
@@ -157,12 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_of(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("RANK2_SEED", "0"))
-
-
 def _emit(args: argparse.Namespace, results: list, report: CheckReport | None, text: str) -> None:
     if args.json:
         payload = {
@@ -210,10 +203,9 @@ def _cmd_period(args: argparse.Namespace) -> int:
 
 
 def _cmd_ccmap(args: argparse.Namespace) -> int:
-    seed = _seed_of(args)
     obj = object_for_index(args.b, args.c, args.k)
     Q = kronecker_quiver(args.b, args.c)
-    X = cc_polynomial(Q, obj, seed=seed)
+    X = cc_polynomial(Q, obj, seed=args.seed)
     results = [X.to_json_dict()]
     lines = [f"object: {obj.describe()}", f"X = {X}"]
     if args.fold:
@@ -227,21 +219,18 @@ def _cmd_ccmap(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.k_min > args.k_max:
         raise ValueError("empty verification range")
-    seed = _seed_of(args)
     report = CheckReport(
         f"folding vs recurrence at (b,c)=({args.b},{args.c}), "
         f"k in [{args.k_min},{args.k_max}]"
     )
     for k in range(args.k_min, args.k_max + 1):
-        report.extend(verify_folding(args.b, args.c, k, seed=seed))
+        report.extend(verify_folding(args.b, args.c, k, seed=args.seed))
     _emit(args, [], report, report.summary())
     return report.exit_code()
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
-    report = verify_exchange_relation(
-        args.b, args.c, args.orbit_class, args.s, seed=_seed_of(args)
-    )
+    report = verify_exchange_relation(args.b, args.c, args.orbit_class, args.s, seed=args.seed)
     _emit(args, [], report, report.summary())
     return report.exit_code()
 
@@ -261,7 +250,7 @@ def _module_spec_for(args: argparse.Namespace) -> ModuleSpec:
 
 def _cmd_euler(args: argparse.Namespace) -> int:
     spec = _module_spec_for(args)
-    chi = euler_characteristic(spec, tuple(args.sub), seed=_seed_of(args))
+    chi = euler_characteristic(spec, tuple(args.sub), seed=args.seed)
     result = {
         "chi": chi,
         "dims": list(spec.dimension_vector),

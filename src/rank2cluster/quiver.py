@@ -9,6 +9,12 @@ and reading off its value at q = 1.  A held-out prime checks every
 interpolation, so a non-generic sample or a wrong degree bound surfaces as
 an error instead of a silently wrong number.
 
+One object carries both sides of the module theory: the path count N with
+N[i][j] = #paths i -> j.  Row i of N is dim P_i, column j is dim I_j, and
+N = C^{-1} for the Euler matrix C.  The injective side is not built
+separately: I_v over Q is the dual of P_v over the opposite quiver, so its
+dimension vector and its (transposed) maps come from the projective code.
+
 All of this works for any finite acyclic quiver; nothing below is special
 to K_{b,c} except the constructor.
 """
@@ -130,33 +136,14 @@ def euler_form(Q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
 _COXETER_CACHE: dict[Quiver, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _fraction_inverse(M: np.ndarray) -> list[list[Fraction]]:
-    n = M.shape[0]
-    aug = [[Fraction(int(M[i, j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("Euler matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _coxeter_matrices(Q: Quiver) -> tuple[np.ndarray, np.ndarray]:
     got = _COXETER_CACHE.get(Q)
     if got is not None:
         return got
     C = euler_matrix(Q)
-    inv_rows = _fraction_inverse(C)
-    if any(x.denominator != 1 for row in inv_rows for x in row):
-        raise ValueError("Euler matrix inverse is not integral")
-    Cinv = np.array([[int(x) for x in row] for row in inv_rows], dtype=np.int64)
+    # C = I - A with A nilpotent (Q is acyclic), so C^{-1} = I + A + A^2 + ...
+    # is the path count, whose rows are the projective dimension vectors
+    Cinv = np.array([projective_dimension_vector(Q, q) for q in Q.vertices], dtype=np.int64)
     # backward: dims of the inverse translate tau^{-1}, Phi = -C^{-T} C
     # forward: dims of tau itself, the matrix inverse of Phi
     phi_b = -(Cinv.T @ C)
@@ -265,21 +252,9 @@ def _paths_from(Q: Quiver, start: int) -> list[list[tuple[int, ...]]]:
     return buckets
 
 
-def _paths_into(Q: Quiver, end: int) -> list[list[tuple[int, ...]]]:
-    idx = Q.arrow_indices()
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(Q.n)]
-    frontier = [((), end)]
-    buckets[end].append(())
-    while frontier:
-        nxt = []
-        for path, at in frontier:
-            for a, (s, t) in enumerate(idx):
-                if t == at:
-                    ext = (a,) + path
-                    buckets[s].append(ext)
-                    nxt.append((ext, s))
-        frontier = nxt
-    return buckets
+def _opposite(Q: Quiver) -> Quiver:
+    """Same vertices and arrow order, every arrow reversed."""
+    return Quiver(Q.vertices, ((t, s) for s, t in Q.arrows))
 
 
 def projective_dimension_vector(Q: Quiver, vertex: str) -> tuple[int, ...]:
@@ -287,7 +262,7 @@ def projective_dimension_vector(Q: Quiver, vertex: str) -> tuple[int, ...]:
 
 
 def injective_dimension_vector(Q: Quiver, vertex: str) -> tuple[int, ...]:
-    return tuple(len(b) for b in _paths_into(Q, Q.index(vertex)))
+    return projective_dimension_vector(_opposite(Q), vertex)
 
 
 def projective_module(Q: Quiver, vertex: str, p: int) -> Representation:
@@ -305,22 +280,13 @@ def projective_module(Q: Quiver, vertex: str, p: int) -> Representation:
 
 
 def injective_module(Q: Quiver, vertex: str, p: int) -> Representation:
-    """I_vertex with basis the paths ending at `vertex`.
+    """I_vertex, the dual of the projective P_vertex over the opposite quiver.
 
-    The arrow a: s -> t strips a leading traversal of a from each basis
-    path when present and kills the path otherwise.
+    Its basis is the paths of Q ending at `vertex`; the map of an arrow is
+    the transpose of the opposite arrow's map in that projective.
     """
-    basis = _paths_into(Q, Q.index(vertex))
-    dims = tuple(len(b) for b in basis)
-    idx = Q.arrow_indices()
-    maps = []
-    for a, (s, t) in enumerate(idx):
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-        for col, path in enumerate(basis[s]):
-            if path and path[0] == a:
-                m[basis[t].index(path[1:]), col] = 1
-        maps.append(m)
-    return Representation(Q, p, dims, tuple(maps))
+    P = projective_module(_opposite(Q), vertex, p)
+    return Representation(Q, p, P.dims, tuple(m.T for m in P.maps))
 
 
 def simple_module(Q: Quiver, vertex: str, p: int) -> Representation:
@@ -573,7 +539,7 @@ class ModuleSpec:
             for i in range(self.quiver.n)
         )
 
-    def realize(self, p: int, seed: int = 0, trials: int = 20) -> Representation:
+    def realize(self, p: int, seed: int = 0) -> Representation:
         if self.kind == "projective":
             return projective_module(self.quiver, self.vertex, p)
         if self.kind == "injective":
@@ -581,10 +547,10 @@ class ModuleSpec:
         if self.kind == "simple":
             return simple_module(self.quiver, self.vertex, p)
         if self.kind == "generic":
-            return generic_module(self.quiver, self.dims, p, trials=trials, seed=seed)
-        total = self.parts[0].realize(p, seed, trials)
+            return generic_module(self.quiver, self.dims, p, seed=seed)
+        total = self.parts[0].realize(p, seed)
         for offset, part in enumerate(self.parts[1:], start=1):
-            total = direct_sum(total, part.realize(p, seed + 7919 * offset, trials))
+            total = direct_sum(total, part.realize(p, seed + 7919 * offset))
         return total
 
 
@@ -605,16 +571,16 @@ _CHI_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
 _PRIME_POOL_SIZE = 40
 
 
-def chi_table(spec: ModuleSpec, seed: int = 0, trials: int = 20) -> dict[tuple[int, ...], int]:
+def chi_table(spec: ModuleSpec, seed: int = 0) -> dict[tuple[int, ...], int]:
     """Euler characteristic of Gr_e(M) for every e <= dim M.
 
     Counts points over D+2 primes per e, where D = sum e_i (d_i - e_i)
     bounds the degree of the counting polynomial; interpolates through the
     first D+1 counts, verifies the prediction at the held-out prime
     (NotPolynomial on mismatch), and evaluates at q = 1 (NotIntegral if
-    that is not an integer).  Results are cached per (spec, seed, trials).
+    that is not an integer).  Results are cached per (spec, seed).
     """
-    key = (spec, seed, trials)
+    key = (spec, seed)
     got = _CHI_CACHE.get(key)
     if got is not None:
         return got
@@ -627,7 +593,7 @@ def chi_table(spec: ModuleSpec, seed: int = 0, trials: int = 20) -> dict[tuple[i
         if len(collected) == needed:
             break
         try:
-            M = spec.realize(p, seed=seed, trials=trials)
+            M = spec.realize(p, seed=seed)
         except NotRigid:
             rejected.append(p)
             continue
@@ -658,15 +624,10 @@ def chi_table(spec: ModuleSpec, seed: int = 0, trials: int = 20) -> dict[tuple[i
     return table
 
 
-def euler_characteristic(
-    spec: ModuleSpec,
-    e: Sequence[int],
-    seed: int = 0,
-    trials: int = 20,
-) -> int:
+def euler_characteristic(spec: ModuleSpec, e: Sequence[int], seed: int = 0) -> int:
     """chi(Gr_e(M)) for the module described by spec."""
     ev = tuple(int(x) for x in e)
     d = spec.dimension_vector
     if len(ev) != len(d) or any(x < 0 or x > dx for x, dx in zip(ev, d)):
         raise ValueError(f"e = {ev} is not between 0 and dim M = {d}")
-    return chi_table(spec, seed=seed, trials=trials)[ev]
+    return chi_table(spec, seed=seed)[ev]

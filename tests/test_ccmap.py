@@ -300,6 +300,8 @@ def test_equivariance_rejects_class_mixing():
         g_equivariance_check(K23, obj_P("v1"), {"v1": "v2"})
     with pytest.raises(ValueError):
         g_equivariance_check(K23, obj_P("v1"), {"v1": "zz"})
+    with pytest.raises(ValueError, match="not in the quiver"):
+        g_equivariance_check(K23, object_for_index(2, 3, -1), {"w7": "w8"})
 
 
 def test_fold_absorbs_vertex_symmetries():

@@ -197,20 +197,30 @@ def test_json_output_is_byte_deterministic(capsys):
 # seeds and process entry
 
 def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("RANK2_SEED", "5")
-    code, out, _ = run(capsys, "ccmap", "--b", "2", "--c", "2", "--k", "-3", "--fold")
-    assert code == 0
+    # the seed has one source, --seed with default 0; the environment is ignored
+    args = ("ccmap", "--b", "2", "--c", "2", "--k", "-3", "--fold", "--json")
+    _, pinned, _ = run(capsys, *args, "--seed", "0")
     monkeypatch.setenv("RANK2_SEED", "not-a-number")
-    code, _, err = run(capsys, "ccmap", "--b", "2", "--c", "2", "--k", "-3")
-    assert code == 2 and "usage error" in err
+    code, out, err = run(capsys, *args)
+    assert code == 0 and not err
+    assert out == pinned
 
 
 def test_seed_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("RANK2_SEED", "not-a-number")
-    code, _, _ = run(
-        capsys, "ccmap", "--b", "2", "--c", "2", "--k", "-3", "--seed", "1"
-    )
-    assert code == 0
+    # --seed reaches the sampler as given, and its absence means 0, whatever
+    # the environment holds
+    seen = []
+
+    def spy(spec, e, seed):
+        seen.append(seed)
+        return 1
+
+    monkeypatch.setattr("rank2cluster.cli.euler_characteristic", spy)
+    monkeypatch.setenv("RANK2_SEED", "5")
+    args = ("euler", "--b", "2", "--c", "3", "--module", "Pv", "--sub", "0,0,0,0,0")
+    assert run(capsys, *args, "--seed", "1")[0] == 0
+    assert run(capsys, *args)[0] == 0
+    assert seen == [1, 0]
 
 
 def test_module_entry_point():

@@ -11,12 +11,14 @@ from rank2cluster.quiver import (
     NotRigid,
     Quiver,
     Representation,
+    _coxeter_matrices,
     chi_table,
     count_submodules,
     coxeter_translate,
     direct_sum,
     euler_characteristic,
     euler_form,
+    euler_matrix,
     exchange_matrix,
     gaussian_binomial,
     generic_module,
@@ -32,6 +34,8 @@ from rank2cluster.quiver import (
 K11 = kronecker_quiver(1, 1)
 K12 = kronecker_quiver(1, 2)
 K23 = kronecker_quiver(2, 3)
+# the smallest quiver with a path of length 2
+TRIANGLE = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,26 @@ def test_standard_dimension_vectors():
     assert injective_dimension_vector(K23, "w1") == (1, 1, 1, 0, 0)
     assert projective_dimension_vector(K11, "v1") == (1, 1)
     assert injective_dimension_vector(K11, "w1") == (1, 1)
+    # a reaches c twice, directly and through b
+    assert projective_dimension_vector(TRIANGLE, "a") == (1, 1, 2)
+    assert injective_dimension_vector(TRIANGLE, "c") == (2, 1, 1)
+
+
+def _path_count(Q):
+    rows = np.array([projective_dimension_vector(Q, q) for q in Q.vertices])
+    cols = np.array([injective_dimension_vector(Q, q) for q in Q.vertices]).T
+    assert (rows == cols).all()
+    return rows
+
+
+@pytest.mark.parametrize(
+    "Q", [TRIANGLE] + [kronecker_quiver(b, c) for b in range(1, 5) for c in range(1, 5)]
+)
+def test_path_count_inverts_euler_matrix(Q):
+    # rows of C^{-1} are projective dimension vectors, columns injective ones
+    assert (euler_matrix(Q) @ _path_count(Q) == np.eye(Q.n, dtype=np.int64)).all()
+    phi_b, phi_f = _coxeter_matrices(Q)
+    assert (phi_b @ phi_f == np.eye(Q.n, dtype=np.int64)).all()
 
 
 def test_projective_module_maps():
@@ -251,11 +275,12 @@ def test_hom_from_projective_is_evaluation(seed):
     # does not share code with the solver's constraint assembly
     rng = np.random.default_rng(seed)
     p = 3
-    M = _random_representation(K12, p, 2, rng)
-    for vertex in K12.vertices:
-        i = K12.index(vertex)
-        assert hom_dimension(projective_module(K12, vertex, p), M) == M.dims[i]
-        assert hom_dimension(M, injective_module(K12, vertex, p)) == M.dims[i]
+    for Q in (K12, TRIANGLE):
+        M = _random_representation(Q, p, 2, rng)
+        for vertex in Q.vertices:
+            i = Q.index(vertex)
+            assert hom_dimension(projective_module(Q, vertex, p), M) == M.dims[i]
+            assert hom_dimension(M, injective_module(Q, vertex, p)) == M.dims[i]
 
 
 @pytest.mark.parametrize("seed", range(4))
