@@ -1,16 +1,28 @@
-"""Packed big-integer kernels for arithmetic on positive sparse polynomials.
+"""Packed big-number kernels for arithmetic on positive sparse polynomials.
 
 A polynomial with positive integer coefficients can be evaluated into one
-huge integer by laying its coefficient box out in base 2**(8*w), a
-multivariate Kronecker substitution.  Products and exact quotients of such
-integers recover the polynomial operations as long as no convolution sum
-ever reaches the slot modulus; positivity makes the required slot width
-cheap to bound ahead of time, which turns this from a heuristic into a
-proof.  Recurrence sweeps spend nearly all their time in dense positive
-products, so routing them through gmpy2 here is worth the bookkeeping.
+huge integer by laying its coefficient box out in base 10**w, a
+multivariate Kronecker substitution: each slot of the box is w decimal
+digits.  Products and exact quotients of such integers recover the
+polynomial operations as long as no convolution sum ever reaches the slot
+modulus; positivity makes the required slot width cheap to bound ahead of
+time, which turns this from a heuristic into a proof.  Recurrence sweeps
+spend nearly all their time in dense positive products and quotients, so
+routing them through a subquadratic big-number library is worth the
+bookkeeping.
+
+The packed numbers are ``gmpy2.mpz`` when gmpy2 is importable and
+``decimal.Decimal`` otherwise.  CPython's ``decimal`` is libmpdec, which
+multiplies by number-theoretic transform and divides by Newton iteration,
+where CPython's own ``int`` divides in quadratic time.  Both types parse
+and print base-10 digit strings, so one decimal packing serves both.
+Decimal arithmetic runs under ``_EXACT``, a context that traps every
+rounding, entered locally so the caller's context is neither read nor
+changed.
 
 Entry points return plain exponent-tuple -> coefficient dicts, or None
-when they cannot establish their answer within the memory budget.  Callers
+when they cannot establish their answer within the memory budget and the
+interpreter's int/str conversion limit.  Callers
 must treat None as "fall back to the generic sparse algorithm", never as a
 divisibility verdict.  ``positive_mul`` results are always exact;
 ``positive_exact_div`` certifies the quotient with a carry-bound argument
@@ -20,6 +32,8 @@ through as a wrong polynomial quotient.
 
 from __future__ import annotations
 
+import decimal
+import sys
 from math import gcd
 
 import numpy as np
@@ -27,13 +41,39 @@ import numpy as np
 try:
     from gmpy2 import mpz
 except ImportError:
-    # same answers, but CPython's big-int divmod is quadratic: one large
-    # exact division then takes seconds to minutes instead of milliseconds
     mpz = int
 
-# Largest pack buffer we are willing to build, in bytes.  Operations that
-# would exceed it return None instead of thrashing memory.
+# The packed number type: gmpy2's when present, else libmpdec's Decimal
+# (CPython's int would be exact too, but its division is quadratic).
+_NUM = decimal.Decimal if mpz is int else mpz
+
+# Exact integer arithmetic in Decimal: the largest precision and exponent
+# range, with Inexact and Rounded trapped so a rounding raises instead of
+# passing silently.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+# Largest pack buffer we are willing to build, in bytes (one per digit).
+# Operations that would exceed it return None instead of thrashing memory.
 MEMORY_CAP = 1_500_000_000
+
+# Floor on the block length of the long division, in digits.  Blocks this
+# short need little scratch space, and every block pays for the divisor's
+# reciprocal again, so shorter blocks would only add calls.
+_MIN_BLOCK_DIGITS = 1 << 16
+
+# Python 3.10 releases before 3.10.7 have no limit on int/str conversion.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _box(terms: dict) -> tuple[list[int], list[int], list[int]]:
@@ -65,46 +105,94 @@ def _strides(sizes: list[int]) -> list[int]:
     return out
 
 
-def _pack(terms: dict, mins, steps, strides, total: int, width: int) -> int:
-    # Precondition: every coordinate (e[i]-mins[i])//steps[i] fits inside
-    # the box described by `strides`/`total`, and every coefficient fits
-    # in `width` bytes.
-    buf = bytearray(total * width)
-    for e, c in terms.items():
-        idx = 0
-        for i, s in enumerate(strides):
-            idx += ((e[i] - mins[i]) // steps[i]) * s
-        off = idx * width
-        nb = (c.bit_length() + 7) // 8
-        buf[off:off + nb] = c.to_bytes(nb, "little")
-    return int.from_bytes(buf, "little")
+def _slot_width(bound: int) -> int | None:
+    """Decimal digits per slot so that 10**width > bound, or None.
+
+    Sized from the bit length, since str(bound) itself may be past the
+    interpreter's int/str conversion limit.  None when a slot would be
+    past that limit: the coefficients could then not be written or read.
+    """
+    # 0.30103 > log10(2), so this is at least the digit count of
+    # 2**(bit_length-1) <= bound, and at most one below that of bound
+    width = (bound.bit_length() - 1) * 30103 // 100000 + 1
+    if 10 ** width <= bound:
+        width += 1
+    limit = _max_str_digits()
+    if limit and width > limit:
+        return None
+    return width
 
 
-def _unpack(value, mins, steps, sizes, width: int) -> dict:
-    total = 1
-    for s in sizes:
-        total *= s
-    raw = int(value).to_bytes(total * width, "little")
-    flags = np.frombuffer(raw, dtype=np.uint8).reshape(total, width).any(axis=1)
-    out: dict = {}
+def _layout(terms: dict, mins, steps, strides) -> tuple[list[int], np.ndarray]:
+    """Coefficients of `terms` and their box slots, sorted by slot.
+
+    Precondition: every coordinate (e[i]-mins[i])//steps[i] fits inside
+    the box described by `strides`.
+    """
+    slots = np.fromiter(
+        (
+            sum((e[i] - mins[i]) // steps[i] * s for i, s in enumerate(strides))
+            for e in terms
+        ),
+        dtype=np.int64,
+        count=len(terms),
+    )
+    order = np.argsort(slots)
+    coeffs = list(terms.values())
+    return [coeffs[i] for i in order.tolist()], slots[order]
+
+
+def _digits(coeffs, slots, lo: int, hi: int, width: int) -> str:
+    """Decimal digits of slots lo..hi-1, most significant first.
+
+    `coeffs` and `slots` are the terms inside [lo, hi); every coefficient
+    has at most `width` digits.
+    """
+    end = (hi - lo) * width
+    buf = bytearray(b"0") * end
+    for c, slot in zip(coeffs, slots.tolist()):
+        digits = str(c).encode("ascii")
+        stop = end - (slot - lo) * width
+        buf[stop - len(digits):stop] = digits
+    return buf.decode("ascii")
+
+
+def _pack(terms: dict, mins, steps, strides, width: int):
+    """The packed number of `terms`, with slot 0 least significant."""
+    coeffs, slots = _layout(terms, mins, steps, strides)
+    return _NUM(_digits(coeffs, slots, 0, int(slots[-1]) + 1, width))
+
+
+def _unpack(value, low: int, out: dict, mins, steps, sizes, width: int) -> None:
+    """Add to `out` the nonzero slots of `value`, whose slot 0 is `low`."""
+    raw = str(value).encode("ascii")
+    # str() drops the leading zeros of the top slot, which keeps `head` digits
+    head = len(raw) % width
+    count = len(raw) // width
+    rows = np.frombuffer(raw, dtype=np.uint8, offset=head).reshape(count, width)
+    nonzero = np.flatnonzero(rows.max(axis=1) > ord("0")).tolist()
+    del rows
+    if head and value:
+        nonzero.append(-1)
     n = len(sizes)
-    for idx in np.flatnonzero(flags).tolist():
-        c = int.from_bytes(raw[idx * width:(idx + 1) * width], "little")
+    for r in nonzero:
+        start = head + r * width
+        c = int(raw[max(start, 0):start + width])
         e = [0] * n
-        rem = idx
+        slot = low + count - 1 - r
         for i in range(n - 1, -1, -1):
-            rem, r = divmod(rem, sizes[i])
-            e[i] = mins[i] + steps[i] * r
+            slot, q = divmod(slot, sizes[i])
+            e[i] = mins[i] + steps[i] * q
         out[tuple(e)] = c
-    return out
 
 
 def positive_mul(a: dict, b: dict) -> dict | None:
-    """Product of two positive term dicts, or None if over the memory cap.
+    """Product of two positive term dicts, or None if it cannot be packed.
 
-    A non-None result is exact: the slot width is chosen from the bound
-    min(|a|,|b|) * max(a) * max(b) on every convolution sum, so carries
-    cannot cross slot boundaries.
+    None means over the memory cap or a slot past the int/str conversion
+    limit.  A non-None result is exact: the slot width is chosen from the
+    bound min(|a|,|b|) * max(a) * max(b) on every convolution sum, so
+    carries cannot cross slot boundaries.
     """
     mins_a, maxs_a, gs_a = _box(a)
     mins_b, maxs_b, gs_b = _box(b)
@@ -114,19 +202,28 @@ def positive_mul(a: dict, b: dict) -> dict | None:
         ((maxs_a[i] - mins_a[i]) + (maxs_b[i] - mins_b[i])) // steps[i] + 1
         for i in range(n)
     ]
-    bound = min(len(a), len(b)) * max(a.values()) * max(b.values())
-    width = (bound.bit_length() + 7) // 8
+    width = _slot_width(min(len(a), len(b)) * max(a.values()) * max(b.values()))
+    if width is None:
+        return None
     total = 1
     for s in sizes:
         total *= s
     if total * width > MEMORY_CAP:
         return None
     strides = _strides(sizes)
-    pa = _pack(a, mins_a, steps, strides, total, width)
-    pb = _pack(b, mins_b, steps, strides, total, width)
-    prod = mpz(pa) * mpz(pb)
+    with decimal.localcontext(_EXACT):
+        pa = _pack(a, mins_a, steps, strides, width)
+        if b is a:
+            # one pack, and libmpdec squares with three transform buffers
+            # where a product of two numbers takes four
+            prod = pa * pa
+        else:
+            prod = pa * _pack(b, mins_b, steps, strides, width)
+        del pa
+    out: dict = {}
     mins_out = [mins_a[i] + mins_b[i] for i in range(n)]
-    return _unpack(prod, mins_out, steps, sizes, width)
+    _unpack(prod, 0, out, mins_out, steps, sizes, width)
+    return out
 
 
 def positive_exact_div(num: dict, den: dict) -> dict | None:
@@ -134,8 +231,9 @@ def positive_exact_div(num: dict, den: dict) -> dict | None:
 
     None covers every unproven case: divisor support not on the numerator
     lattice, divisor box wider than the numerator box, nonzero integer
-    remainder, failed carry-bound certificate, or memory cap.  When a dict
-    is returned, quotient * den == num holds exactly over Z.
+    remainder, failed carry-bound certificate, memory cap, or a slot past
+    the int/str conversion limit.  When a dict is returned,
+    quotient * den == num holds exactly over Z.
     """
     mins_n, maxs_n, gs_n = _box(num)
     mins_d, maxs_d, gs_d = _box(den)
@@ -151,30 +249,45 @@ def positive_exact_div(num: dict, den: dict) -> dict | None:
         if gs_d[i] % steps[i]:
             return None
     sizes = [(maxs_n[i] - mins_n[i]) // steps[i] + 1 for i in range(n)]
-    max_n = max(num.values())
     max_d = max(den.values())
-    bound = len(den) * max_n * max_d
-    width = (bound.bit_length() + 7) // 8
+    width = _slot_width(len(den) * max(num.values()) * max_d)
+    if width is None:
+        return None
     total = 1
     for s in sizes:
         total *= s
     if total * width > MEMORY_CAP:
         return None
     strides = _strides(sizes)
-    pn = _pack(num, mins_n, steps, strides, total, width)
-    pd = _pack(den, mins_d, steps, strides, total, width)
-    q, r = divmod(mpz(pn), mpz(pd))
+    mins_q = [mins_n[i] - mins_d[i] for i in range(n)]
+    quot: dict = {}
+    coeffs, slots = _layout(num, mins_n, steps, strides)
+    with decimal.localcontext(_EXACT):
+        pd = _pack(den, mins_d, steps, strides, width)
+        # Long division by blocks of whole slots, from the top, each block
+        # at least as long as the divisor.  The quotient of a block fills
+        # exactly the block's slots, and the scratch space of a division
+        # follows the block length, not the numerator's.
+        block = max(
+            1 + sum((maxs_d[i] - mins_d[i]) // steps[i] * strides[i] for i in range(n)),
+            _MIN_BLOCK_DIGITS // width,
+        )
+        rem = "0"
+        for lo in range(int(slots[-1]) // block * block, -1, -block):
+            hi = lo + block
+            a, b = np.searchsorted(slots, [lo, hi]).tolist()
+            q, r = divmod(_NUM(rem + _digits(coeffs[a:b], slots[a:b], lo, hi, width)), pd)
+            _unpack(q, lo, quot, mins_q, steps, sizes, width)
+            rem = str(r)
     if r:
         return None
-    mins_q = [mins_n[i] - mins_d[i] for i in range(n)]
-    quot = _unpack(q, mins_q, steps, sizes, width)
     if not quot:
         return None
     # Carry-bound certificate: if every convolution sum of quot*den stays
-    # below the slot modulus, base-2**(8*width) digits are unique and the
+    # below the slot modulus, base-10**width digits are unique and the
     # integer identity q*pd == pn is the polynomial identity.  A true
     # quotient always passes (its coefficients are bounded by max_n, by
     # pairing against the divisor's minimal corner).
-    if min(len(quot), len(den)) * max(quot.values()) * max_d >= 1 << (8 * width):
+    if min(len(quot), len(den)) * max(quot.values()) * max_d >= 10 ** width:
         return None
     return quot

@@ -178,10 +178,11 @@ def check_positivity_range(
 
     budget_seconds is checked between cells: cells not started before the
     deadline are reported inconclusive, but a cell started before it runs
-    to its end, however long that takes (without gmpy2 a single (2,3)
-    x_11 cell runs for minutes).  max_predicted_terms skips cells whose
-    numerator support bound exceeds it, also as inconclusive.  Both guards
-    keep a sweep honest about what it did not verify.
+    to its end, however long that takes (from a cold memo on two cores
+    without gmpy2, a (2,3) x_11 cell takes 3 to 7 s and x_12 15 to 30 s).
+    max_predicted_terms skips cells whose numerator support bound exceeds
+    it, also as inconclusive.  Both guards keep a sweep honest about what
+    it did not verify.
     """
     for name in checks:
         if name not in SWEEP_CHECKS:

@@ -1,5 +1,7 @@
+import decimal
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +416,19 @@ def _convolve(a, b):
     return out
 
 
+# coefficients of 18-20 and 37-39 digits put slot edges on both sides of
+# libmpdec's 19-digit words
+wide_coefficients = (st.integers(18, 20) | st.integers(37, 39)).flatmap(
+    lambda d: st.integers(10 ** (d - 1), 10**d - 1)
+)
+
+
+@st.composite
+def wide_term_dicts(draw, max_terms=5):
+    n = draw(st.integers(1, max_terms))
+    return {draw(exps): draw(wide_coefficients) for _ in range(n)}
+
+
 @given(positive_term_dicts(), positive_term_dicts())
 @settings(max_examples=200)
 def test_packed_mul_matches_convolution(a, b):
@@ -456,3 +471,47 @@ def test_packed_div_failure_falls_back_to_certificate():
     bad = big * x1() + 1
     with pytest.raises(NotDivisible):
         bad.exact_div(big)
+
+
+@given(wide_term_dicts(), wide_term_dicts(), st.sampled_from([None, 1]))
+@settings(max_examples=200)
+def test_packed_kernels_across_word_boundaries(a, b, min_block):
+    # min_block=1 lets the long division run in blocks as short as the
+    # divisor, so small inputs take the multi-block path too
+    product = _convolve(a, b)
+    with mock.patch.object(
+        _packed, "_MIN_BLOCK_DIGITS", min_block or _packed._MIN_BLOCK_DIGITS
+    ):
+        assert _packed.positive_mul(a, b) == product
+        assert _packed.positive_exact_div(product, b) == a
+
+
+def test_packed_kernels_ignore_caller_decimal_context():
+    a = {(i, j): 10**30 + 7 * i + j for i in range(6) for j in range(5)}
+    b = {(i, 2 * i): 10**25 + i for i in range(4)}
+    product = _convolve(a, b)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps[decimal.Inexact] = True
+        ctx.clear_flags()
+        before = repr(ctx)
+        assert _packed.positive_mul(a, b) == product
+        assert _packed.positive_exact_div(product, b) == a
+        assert decimal.getcontext() is ctx
+        assert repr(ctx) == before
+
+
+def test_coefficients_past_int_str_limit():
+    # a 5001-digit coefficient is past the default int/str conversion
+    # limit (4300 digits), so its slot cannot be written as digits: both
+    # kernels must decline and the sparse paths answer
+    terms = {(i, j): i + j + 1 for i in range(30) for j in range(30)}
+    terms[7, 7] = 10**5000 + 7
+    big = LaurentPolynomial(X, terms)
+    small = LaurentPolynomial(X, {(i, 2 * i): i + 1 for i in range(25)})
+    expected = LaurentPolynomial._raw(X, _convolve(dict(big.terms), dict(small.terms)))
+    assert _packed.positive_mul(dict(big.terms), dict(small.terms)) is None
+    product = big * small
+    assert product == expected
+    assert _packed.positive_exact_div(dict(product.terms), dict(small.terms)) is None
+    assert product.exact_div(small) == big

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank2cluster import _packed
 from rank2cluster.laurent import LaurentPolynomial
 from rank2cluster.rank2 import (
     _CACHE,
@@ -170,6 +172,37 @@ def test_reflection_matches_backward_recurrence():
             t = ExchangeType(b, c)
             for k in range(-4, 1):
                 assert cluster_variable(t, k) == _backward_reference(t, k), (b, c, k)
+
+
+def test_large_wild_step_matches_modular_recurrence():
+    # (3,2) x_10 ends in a packed division of a 9740-term numerator with
+    # 83-digit slots (several libmpdec words each) by a divisor long
+    # enough for Newton division, in several blocks; the kernel must answer
+    # every division, not decline to the sparse fallback
+    p = 2**61 - 1
+    point = (123456789, 987654321)
+    t = ExchangeType(3, 2)
+    answered = []
+
+    def packed_div(num, den, kernel=_packed.positive_exact_div):
+        quot = kernel(num, den)
+        answered.append(quot is not None)
+        return quot
+
+    clear_cache()
+    with mock.patch.object(_packed, "positive_exact_div", packed_div):
+        x10 = cluster_variable(t, 10)
+    assert answered and all(answered)
+    assert len(x10) == 6085
+    assert x10.is_positive()
+    value = sum(
+        c * pow(point[0], e1, p) * pow(point[1], e2, p) for (e1, e2), c in x10.terms.items()
+    ) % p
+    prev, cur = point
+    for j in range(2, 10):
+        e = t.b if j % 2 else t.c
+        prev, cur = cur, (pow(cur, e, p) + 1) * pow(prev, -1, p) % p
+    assert value == cur
 
 
 def test_memo_holds_forward_steps_only():
