@@ -45,7 +45,9 @@ from .rank2 import X_CONTEXT, ExchangeType, cluster_variable
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 
 # generic-module resolution is attempted only up to this total dimension;
-# the subspace enumeration behind chi explodes beyond desk scale
+# chi counts subspace tuples at the sources of the module or at the sinks
+# of its dual, whichever side has fewer, over up to sum(d_i^2 // 4) + 2
+# primes, and that count leaves desk scale beyond it
 GENERIC_DIM_BUDGET = 12
 
 _RESOLUTION_ERRORS = (NotRigid, NotPolynomial, NotIntegral)

@@ -2,12 +2,17 @@
 
 K_{b,c} has sources v_1..v_b, sinks w_1..w_c, and exactly one arrow from
 every source to every sink.  Modules are realized as explicit matrices
-over a prime field; submodule Grassmannians are counted by direct
-enumeration of row-echelon subspace tuples, and Euler characteristics are
-recovered by interpolating the counting polynomial through enough primes
-and reading off its value at q = 1.  A held-out prime checks every
-interpolation, so a non-generic sample or a wrong degree bound surfaces as
-an error instead of a silently wrong number.
+over a prime field.  Submodule Grassmannians Gr_e(M) are counted for every
+e at once: subspace tuples are enumerated at the non-sink vertices only,
+and each sink w, whose subspace need only contain the rank-r_w span of
+the images landing in it, contributes the Gaussian binomial
+[d_w - r_w, e_w - r_w]_p.  The count runs on M or on its dual DM over the
+opposite quiver (Gr_e(M) = Gr_{d-e}(DM)), whichever has fewer non-sink
+tuples.  Euler characteristics are recovered by interpolating the counting
+polynomial through enough primes and reading off its value at q = 1.  A
+held-out prime checks every interpolation, so a non-generic sample or a
+wrong degree bound surfaces as an error instead of a silently wrong
+number.
 
 One object carries both sides of the module theory: the path count N with
 N[i][j] = #paths i -> j.  Row i of N is dim P_i, column j is dim I_j, and
@@ -257,6 +262,11 @@ def _opposite(Q: Quiver) -> Quiver:
     return Quiver(Q.vertices, ((t, s) for s, t in Q.arrows))
 
 
+def _dual(M: Representation) -> Representation:
+    """DM = Hom(M, F_p) over the opposite quiver: same dims, transposed maps."""
+    return Representation(_opposite(M.quiver), M.p, M.dims, tuple(m.T for m in M.maps))
+
+
 def projective_dimension_vector(Q: Quiver, vertex: str) -> tuple[int, ...]:
     return tuple(len(b) for b in _paths_from(Q, Q.index(vertex)))
 
@@ -285,8 +295,7 @@ def injective_module(Q: Quiver, vertex: str, p: int) -> Representation:
     Its basis is the paths of Q ending at `vertex`; the map of an arrow is
     the transpose of the opposite arrow's map in that projective.
     """
-    P = projective_module(_opposite(Q), vertex, p)
-    return Representation(Q, p, P.dims, tuple(m.T for m in P.maps))
+    return _dual(projective_module(_opposite(Q), vertex, p))
 
 
 def simple_module(Q: Quiver, vertex: str, p: int) -> Representation:
@@ -417,70 +426,119 @@ class GrassmannianCount:
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     if k < 0 or k > n:
         return 0
-    value = Fraction(1)
+    num = den = 1
     for i in range(1, k + 1):
-        value *= Fraction(q ** (n - k + i) - 1, q ** i - 1)
-    assert value.denominator == 1
-    return int(value)
+        num *= q ** (n - k + i) - 1
+        den *= q ** i - 1
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"[{n}, {k}]_{q} is not an integer: {num}/{den}")
+    return value
 
 
-def _subspaces(p: int, d: int, k: int) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """All k-dimensional subspaces of F_p^d as (RREF basis, pivot columns)."""
-    if k == 0:
-        return [(np.zeros((0, d), dtype=np.int64), ())]
+def _subspaces(p: int, d: int) -> list[np.ndarray]:
+    """Every subspace of F_p^d, of every dimension, as its RREF basis rows."""
     out = []
-    for pivots in itertools.combinations(range(d), k):
-        free = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, d)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free)):
-            basis = np.zeros((k, d), dtype=np.int64)
-            for r, c in zip(range(k), pivots):
-                basis[r, c] = 1
-            for (r, c), val in zip(free, values):
-                basis[r, c] = val
-            out.append((basis, pivots))
+    for k in range(d + 1):
+        for pivots in itertools.combinations(range(d), k):
+            free = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, d)
+                if c not in pivots
+            ]
+            for values in itertools.product(range(p), repeat=len(free)):
+                basis = np.zeros((k, d), dtype=np.int64)
+                for r, c in zip(range(k), pivots):
+                    basis[r, c] = 1
+                for (r, c), val in zip(free, values):
+                    basis[r, c] = val
+                out.append(basis)
     return out
 
 
-def _contained(vectors: np.ndarray, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> bool:
-    if vectors.shape[0] == 0:
-        return True
-    red = vectors % p
-    for r, c in enumerate(pivots):
-        red = (red - np.outer(red[:, c], basis[r])) % p
-    return not red.any()
+def _non_sink_tuples(Q: Quiver, d: Sequence[int], p: int) -> int:
+    """Subspace tuples over F_p at the vertices of Q with an outgoing arrow."""
+    total = 1
+    for v in {s for s, _ in Q.arrow_indices()}:
+        total *= sum(gaussian_binomial(d[v], k, p) for k in range(d[v] + 1))
+    return total
+
+
+def _one_sided_counts(M: Representation) -> dict[tuple[int, ...], int]:
+    """#Gr_e(M)(F_p) for every e <= dim M, enumerating non-sinks only.
+
+    A choice of subspaces U_v at the non-sink vertices is admissible when
+    every arrow a: s -> t between two of them has M_a U_s inside U_t.  A
+    sink w then takes any e_w-subspace containing the span of the images
+    M_a U_s landing in w; if that span has rank r_w there are
+    [d_w - r_w, e_w - r_w]_p of them, independently for each sink.
+    """
+    Q, p, d = M.quiver, M.p, M.dims
+    idx = Q.arrow_indices()
+    non_sinks = sorted({s for s, _ in idx})
+    slot = {v: i for i, v in enumerate(non_sinks)}
+    sinks = [w for w in range(Q.n) if w not in slot]
+    subs = [_subspaces(p, d[v]) for v in non_sinks]
+    # images[a][i]: rows spanning M_a U, for U the i-th subspace at a's source
+    images = [[(U @ M.maps[a].T) % p for U in subs[slot[s]]] for a, (s, _) in enumerate(idx)]
+    internal = [(a, slot[s], slot[t]) for a, (s, t) in enumerate(idx) if t in slot]
+    landing = [[(a, slot[s]) for a, (s, t) in enumerate(idx) if t == w] for w in sinks]
+    histogram: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for choice in itertools.product(*(range(len(s)) for s in subs)):
+        if not all(
+            _rank_mod_p(np.vstack((subs[t][choice[t]], images[a][choice[s]])), p)
+            == subs[t][choice[t]].shape[0]
+            for a, s, t in internal
+        ):
+            continue
+        key = (
+            tuple(subs[i][c].shape[0] for i, c in enumerate(choice)),
+            tuple(
+                _rank_mod_p(np.vstack([images[a][choice[s]] for a, s in arrows]), p)
+                if arrows else 0
+                for arrows in landing
+            ),
+        )
+        histogram[key] = histogram.get(key, 0) + 1
+    counts = dict.fromkeys(itertools.product(*(range(x + 1) for x in d)), 0)
+    e = [0] * Q.n
+    for (choice_dims, ranks), n in histogram.items():
+        for v, k in zip(non_sinks, choice_dims):
+            e[v] = k
+        for sink_dims in itertools.product(*(range(r, d[w] + 1) for w, r in zip(sinks, ranks))):
+            term = n
+            for w, r, k in zip(sinks, ranks, sink_dims):
+                e[w] = k
+                term *= gaussian_binomial(d[w] - r, k - r, p)
+            counts[tuple(e)] += term
+    return counts
+
+
+def _grassmannian_counts(M: Representation) -> dict[tuple[int, ...], int]:
+    """#Gr_e(M)(F_p) for every e <= dim M, from the cheaper side.
+
+    Gr_e(M) = Gr_{d-e}(DM) over the opposite quiver, whose non-sinks are
+    the non-sources of Q, so the side with fewer non-sink tuples is counted.
+    """
+    Q, d, p = M.quiver, M.dims, M.p
+    if _non_sink_tuples(_opposite(Q), d, p) >= _non_sink_tuples(Q, d, p):
+        return _one_sided_counts(M)
+    dual = _one_sided_counts(_dual(M))
+    return {e: dual[tuple(x - y for x, y in zip(d, e))] for e in dual}
 
 
 def count_submodules(M: Representation, e: Sequence[int]) -> GrassmannianCount:
-    """Number of subrepresentation tuples of dimension vector e over F_p."""
+    """Number of subrepresentations of dimension vector e over F_p.
+
+    Runs the one-pass count of every e that chi_table uses and looks up e.
+    """
     ev = tuple(int(x) for x in e)
     if len(ev) != M.quiver.n or any(x < 0 for x in ev):
         raise ValueError(f"bad dimension vector {ev}")
     if any(x > dmax for x, dmax in zip(ev, M.dims)):
         raise ValueError(f"e = {ev} exceeds module dimensions {M.dims}")
-    p = M.p
-    subs = [_subspaces(p, M.dims[i], ev[i]) for i in range(M.quiver.n)]
-    idx = M.quiver.arrow_indices()
-    # per-arrow containment tables, so the product loop is boolean-only
-    tables = []
-    for a, (s, t) in enumerate(idx):
-        table = np.ones((len(subs[s]), len(subs[t])), dtype=bool)
-        for i_s, (bs, _) in enumerate(subs[s]):
-            if bs.shape[0] == 0:
-                continue
-            image = (M.maps[a] @ bs.T).T % p
-            for i_t, (bt, pt) in enumerate(subs[t]):
-                table[i_s, i_t] = _contained(image, bt, pt, p)
-        tables.append(table)
-    count = 0
-    for choice in itertools.product(*[range(len(s)) for s in subs]):
-        if all(tables[a][choice[s], choice[t]] for a, (s, t) in enumerate(idx)):
-            count += 1
-    return GrassmannianCount(ev, p, count)
+    return GrassmannianCount(ev, M.p, _grassmannian_counts(M)[ev])
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +632,12 @@ _PRIME_POOL_SIZE = 40
 def chi_table(spec: ModuleSpec, seed: int = 0) -> dict[tuple[int, ...], int]:
     """Euler characteristic of Gr_e(M) for every e <= dim M.
 
-    Counts points over D+2 primes per e, where D = sum e_i (d_i - e_i)
-    bounds the degree of the counting polynomial; interpolates through the
-    first D+1 counts, verifies the prediction at the held-out prime
-    (NotPolynomial on mismatch), and evaluates at q = 1 (NotIntegral if
-    that is not an integer).  Results are cached per (spec, seed).
+    Counts the points of every Gr_e(M) in one pass per prime, over D+2
+    primes in all, where D = max_e sum e_i (d_i - e_i) bounds the degree of
+    the counting polynomials.  For each e it interpolates through the
+    first deg_e + 1 counts, verifies the prediction at the next, held-out
+    prime (NotPolynomial on mismatch), and evaluates at q = 1 (NotIntegral
+    if that is not an integer).  Results are cached per (spec, seed).
     """
     key = (spec, seed)
     got = _CHI_CACHE.get(key)
@@ -597,8 +656,7 @@ def chi_table(spec: ModuleSpec, seed: int = 0) -> dict[tuple[int, ...], int]:
         except NotRigid:
             rejected.append(p)
             continue
-        counts = {e: count_submodules(M, e).count for e in all_e}
-        collected.append((p, counts))
+        collected.append((p, _grassmannian_counts(M)))
     if len(collected) < needed:
         raise NotRigid(
             f"needed {needed} primes for {spec.kind} at dims {d}, got "

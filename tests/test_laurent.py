@@ -486,6 +486,32 @@ def test_packed_kernels_across_word_boundaries(a, b, min_block):
         assert _packed.positive_exact_div(product, b) == a
 
 
+# int parses and prints the same digit strings as gmpy2's mpz, so with
+# _NUM patched to int the kernels run the gmpy2 arm's code path.  Unlike
+# mpz, int applies sys.get_int_max_str_digits() to a whole packed string,
+# and a division block is padded to _MIN_BLOCK_DIGITS (65536) digits.  A
+# 3x3 exponent box, coefficients of at most 39 digits and blocks as long
+# as the divisor or 1024 digits, whichever is longer, keep every string
+# under 3100 digits, below the default limit of 4300.
+@st.composite
+def int_arm_term_dicts(draw, max_terms=5):
+    n = draw(st.integers(1, max_terms))
+    exponent = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coefficient = st.integers(1, 50) | wide_coefficients
+    return {draw(exponent): draw(coefficient) for _ in range(n)}
+
+
+@given(int_arm_term_dicts(), int_arm_term_dicts(), st.sampled_from([1, 1024]))
+@settings(max_examples=200)
+def test_packed_kernels_on_the_gmpy2_arm(a, b, min_block):
+    product = _convolve(a, b)
+    with mock.patch.object(_packed, "_NUM", int), mock.patch.object(
+        _packed, "_MIN_BLOCK_DIGITS", min_block
+    ):
+        assert _packed.positive_mul(a, b) == product
+        assert _packed.positive_exact_div(product, b) == a
+
+
 def test_packed_kernels_ignore_caller_decimal_context():
     a = {(i, j): 10**30 + 7 * i + j for i in range(6) for j in range(5)}
     b = {(i, 2 * i): 10**25 + i for i in range(4)}

@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank2cluster import quiver
 from rank2cluster.quiver import (
     GrassmannianCount,
     ModuleSpec,
@@ -12,6 +14,10 @@ from rank2cluster.quiver import (
     Quiver,
     Representation,
     _coxeter_matrices,
+    _dual,
+    _grassmannian_counts,
+    _one_sided_counts,
+    _opposite,
     chi_table,
     count_submodules,
     coxeter_translate,
@@ -382,6 +388,16 @@ def test_gaussian_binomial_values():
             assert gaussian_binomial(n, k, 7) == gaussian_binomial(n, n - k, 7)
 
 
+def test_gaussian_binomial_q_pascal():
+    # [n, k]_q = [n-1, k-1]_q + q^k [n-1, k]_q, out-of-range k giving 0
+    for q in (2, 3, 5):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                assert gaussian_binomial(n, k, q) == (
+                    gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
+                )
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_counts_bounded_and_isomorphism_invariant(seed):
     # different rigid samples at the same root count the same subspaces
@@ -404,6 +420,167 @@ def test_count_over_larger_field_matches_polynomial():
         M = projective_module(K11, "v1", p)
         assert count_submodules(M, (0, 1)).count == 1
         assert count_submodules(M, (1, 0)).count == 0
+
+
+# ---------------------------------------------------------------------------
+# the one-sided count against a brute-force reference: subspaces enumerated
+# at every vertex, one e at a time, every arrow checked by containment
+
+def _reference_subspaces(p, d, k):
+    """All k-dimensional subspaces of F_p^d as (RREF basis, pivot columns)."""
+    if k == 0:
+        return [(np.zeros((0, d), dtype=np.int64), ())]
+    out = []
+    for pivots in itertools.combinations(range(d), k):
+        free = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, d)
+            if c not in pivots
+        ]
+        for values in itertools.product(range(p), repeat=len(free)):
+            basis = np.zeros((k, d), dtype=np.int64)
+            for r, c in zip(range(k), pivots):
+                basis[r, c] = 1
+            for (r, c), val in zip(free, values):
+                basis[r, c] = val
+            out.append((basis, pivots))
+    return out
+
+
+def _contained(vectors, basis, pivots, p):
+    if vectors.shape[0] == 0:
+        return True
+    red = vectors % p
+    for r, c in enumerate(pivots):
+        red = (red - np.outer(red[:, c], basis[r])) % p
+    return not red.any()
+
+
+def _reference_count(M, e):
+    p = M.p
+    subs = [_reference_subspaces(p, M.dims[i], e[i]) for i in range(M.quiver.n)]
+    idx = M.quiver.arrow_indices()
+    tables = []
+    for a, (s, t) in enumerate(idx):
+        table = np.ones((len(subs[s]), len(subs[t])), dtype=bool)
+        for i_s, (bs, _) in enumerate(subs[s]):
+            image = (M.maps[a] @ bs.T).T % p
+            for i_t, (bt, pt) in enumerate(subs[t]):
+                table[i_s, i_t] = _contained(image, bt, pt, p)
+        tables.append(table)
+    return sum(
+        all(tables[a][choice[s], choice[t]] for a, (s, t) in enumerate(idx))
+        for choice in itertools.product(*[range(len(s)) for s in subs])
+    )
+
+
+def _all_e(M):
+    return list(itertools.product(*[range(x + 1) for x in M.dims]))
+
+
+def _reference_modules():
+    out = []
+    for p in (2, 3, 5):
+        for v in TRIANGLE.vertices:
+            out.append((f"TRIANGLE P_{v} p={p}", projective_module(TRIANGLE, v, p)))
+            out.append((f"TRIANGLE I_{v} p={p}", injective_module(TRIANGLE, v, p)))
+        out.append((
+            f"TRIANGLE P_a+I_c p={p}",
+            direct_sum(projective_module(TRIANGLE, "a", p), injective_module(TRIANGLE, "c", p)),
+        ))
+    for p in (3, 5):
+        out.append((
+            f"K23 P_v1+I_w1 p={p}",
+            direct_sum(projective_module(K23, "v1", p), injective_module(K23, "w1", p)),
+        ))
+        out.append((
+            f"K23 I_v2+S_w3+P_w1 p={p}",
+            direct_sum(
+                direct_sum(injective_module(K23, "v2", p), simple_module(K23, "w3", p)),
+                projective_module(K23, "w1", p),
+            ),
+        ))
+        out.append((f"K23 generic (1,1,1,2,2) p={p}", generic_module(K23, (1, 1, 1, 2, 2), p)))
+        out.append((f"K23 generic (2,3,1,1,1) p={p}", generic_module(K23, (2, 3, 1, 1, 1), p)))
+        out.append((
+            f"K23 generic (1,0,1,1,1)+(0,1,1,1,1) p={p}",
+            direct_sum(
+                generic_module(K23, (1, 0, 1, 1, 1), p),
+                generic_module(K23, (0, 1, 1, 1, 1), p, seed=1),
+            ),
+        ))
+    return out
+
+
+REFERENCE_MODULES = _reference_modules()
+
+
+def test_reference_inputs_reach_both_sides():
+    # the count runs on M for some inputs and on DM for others, so the
+    # e -> d - e map back from DM is under test below
+    on_m = set()
+    with mock.patch.object(quiver, "_one_sided_counts", wraps=_one_sided_counts) as spy:
+        for _, M in REFERENCE_MODULES:
+            _grassmannian_counts(M)
+            on_m.add(spy.call_args.args[0] is M)
+    assert on_m == {True, False}
+
+
+def _check_against_reference(M):
+    counts = _grassmannian_counts(M)
+    all_e = _all_e(M)
+    assert sorted(counts) == all_e
+    for e in all_e:
+        assert counts[e] == _reference_count(M, e), e
+    # count_submodules recounts every e per call, so look up a few
+    for e in (all_e[0], all_e[len(all_e) // 2], all_e[-1]):
+        assert count_submodules(M, e) == GrassmannianCount(e, M.p, counts[e])
+
+
+def _check_duality(M):
+    # #Gr_e(M) over Q equals #Gr_{d-e}(DM) over Q^op, each counted from
+    # its own non-sinks, and both equal the brute-force count
+    DM = _dual(M)
+    assert DM.quiver == _opposite(M.quiver)
+    assert all((m.T == n).all() for m, n in zip(M.maps, DM.maps))
+    here, there = _one_sided_counts(M), _one_sided_counts(DM)
+    for e in _all_e(M):
+        complement = tuple(x - y for x, y in zip(M.dims, e))
+        assert here[e] == there[complement], e
+        assert here[e] == _reference_count(M, e), e
+
+
+@pytest.mark.parametrize("name,M", REFERENCE_MODULES, ids=[n for n, _ in REFERENCE_MODULES])
+def test_counts_match_reference_for_every_e(name, M):
+    _check_against_reference(M)
+
+
+@pytest.mark.parametrize("name,M", REFERENCE_MODULES, ids=[n for n, _ in REFERENCE_MODULES])
+def test_one_sided_counts_agree_across_duality(name, M):
+    _check_duality(M)
+
+
+@st.composite
+def small_representations(draw):
+    Q = draw(st.sampled_from([K11, K12, kronecker_quiver(2, 1), kronecker_quiver(2, 2), TRIANGLE]))
+    p = draw(st.sampled_from([2, 3]))
+    dims = tuple(draw(st.integers(0, 2)) for _ in range(Q.n))
+    maps = tuple(
+        np.array(
+            draw(st.lists(st.integers(0, p - 1), min_size=dims[t] * dims[s], max_size=dims[t] * dims[s])),
+            dtype=np.int64,
+        ).reshape(dims[t], dims[s])
+        for s, t in Q.arrow_indices()
+    )
+    return Representation(Q, p, dims, maps)
+
+
+@given(small_representations())
+@settings(max_examples=60, deadline=None)
+def test_random_representations_match_reference(M):
+    _check_against_reference(M)
+    _check_duality(M)
 
 
 # ---------------------------------------------------------------------------
