@@ -20,14 +20,20 @@ Decimal arithmetic runs under ``_EXACT``, a context that traps every
 rounding, entered locally so the caller's context is neither read nor
 changed.
 
-Entry points return plain exponent-tuple -> coefficient dicts, or None
-when they cannot establish their answer within the memory budget and the
-interpreter's int/str conversion limit.  Callers
-must treat None as "fall back to the generic sparse algorithm", never as a
-divisibility verdict.  ``positive_mul`` results are always exact;
-``positive_exact_div`` certifies the quotient with a carry-bound argument
-before returning it, so an accidental integer divisibility can never leak
-through as a wrong polynomial quotient.
+Entry points take any term dicts and return plain exponent-tuple ->
+coefficient dicts, or None when they cannot establish their answer: an
+operand with a coefficient <= 0, which the carry bound does not cover, or
+a packing past the memory budget or the interpreter's int/str conversion
+limit.  Callers must treat None as "fall back to the generic sparse
+algorithm", never as a divisibility verdict.  ``positive_mul`` results are
+always exact; ``positive_exact_div`` certifies the quotient with a
+carry-bound argument before returning it, so an accidental integer
+divisibility can never leak through as a wrong polynomial quotient.
+
+The slot bookkeeping is plain Python over the digit strings: terms become
+(slot, coefficient) pairs written into a digit buffer, and results are
+read back by slicing their decimal string from the right, one slot at a
+time.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ from __future__ import annotations
 import decimal
 import sys
 from math import gcd
-
-import numpy as np
 
 try:
     from gmpy2 import mpz
@@ -98,19 +102,14 @@ def _box(terms: dict) -> tuple[list[int], list[int], list[int]]:
     return mins, maxs, gs
 
 
-def _strides(sizes: list[int]) -> list[int]:
-    out = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        out[i] = out[i + 1] * sizes[i + 1]
-    return out
+def _geometry(sizes: list[int], bound: int) -> tuple[int, list[int]] | None:
+    """Slot width and box strides for a box of `sizes` slots, or None.
 
-
-def _slot_width(bound: int) -> int | None:
-    """Decimal digits per slot so that 10**width > bound, or None.
-
-    Sized from the bit length, since str(bound) itself may be past the
-    interpreter's int/str conversion limit.  None when a slot would be
-    past that limit: the coefficients could then not be written or read.
+    The width is the decimal digit count of `bound`, so 10**width > bound.
+    It is sized from the bit length, since str(bound) itself may be past
+    the interpreter's int/str conversion limit.  None when a slot would be
+    past that limit, where the coefficients could not be written or read,
+    or when the packed digits would exceed MEMORY_CAP.
     """
     # 0.30103 > log10(2), so this is at least the digit count of
     # 2**(bit_length-1) <= bound, and at most one below that of bound
@@ -118,39 +117,37 @@ def _slot_width(bound: int) -> int | None:
     if 10 ** width <= bound:
         width += 1
     limit = _max_str_digits()
-    if limit and width > limit:
+    strides = []
+    total = 1
+    for s in reversed(sizes):
+        strides.append(total)
+        total *= s
+    if limit and width > limit or total * width > MEMORY_CAP:
         return None
-    return width
+    return width, strides[::-1]
 
 
-def _layout(terms: dict, mins, steps, strides) -> tuple[list[int], np.ndarray]:
-    """Coefficients of `terms` and their box slots, sorted by slot.
+def _layout(terms: dict, mins, steps, strides) -> list[tuple[int, int]]:
+    """(box slot, coefficient) of every term of `terms`.
 
     Precondition: every coordinate (e[i]-mins[i])//steps[i] fits inside
     the box described by `strides`.
     """
-    slots = np.fromiter(
-        (
-            sum((e[i] - mins[i]) // steps[i] * s for i, s in enumerate(strides))
-            for e in terms
-        ),
-        dtype=np.int64,
-        count=len(terms),
-    )
-    order = np.argsort(slots)
-    coeffs = list(terms.values())
-    return [coeffs[i] for i in order.tolist()], slots[order]
+    return [
+        (sum((e[i] - mins[i]) // steps[i] * s for i, s in enumerate(strides)), c)
+        for e, c in terms.items()
+    ]
 
 
-def _digits(coeffs, slots, lo: int, hi: int, width: int) -> str:
+def _digits(pairs, lo: int, hi: int, width: int) -> str:
     """Decimal digits of slots lo..hi-1, most significant first.
 
-    `coeffs` and `slots` are the terms inside [lo, hi); every coefficient
-    has at most `width` digits.
+    `pairs` are the (slot, coefficient) pairs inside [lo, hi); every
+    coefficient has at most `width` digits.
     """
     end = (hi - lo) * width
     buf = bytearray(b"0") * end
-    for c, slot in zip(coeffs, slots.tolist()):
+    for slot, c in pairs:
         digits = str(c).encode("ascii")
         stop = end - (slot - lo) * width
         buf[stop - len(digits):stop] = digits
@@ -159,41 +156,38 @@ def _digits(coeffs, slots, lo: int, hi: int, width: int) -> str:
 
 def _pack(terms: dict, mins, steps, strides, width: int):
     """The packed number of `terms`, with slot 0 least significant."""
-    coeffs, slots = _layout(terms, mins, steps, strides)
-    return _NUM(_digits(coeffs, slots, 0, int(slots[-1]) + 1, width))
+    pairs = _layout(terms, mins, steps, strides)
+    return _NUM(_digits(pairs, 0, max(pairs)[0] + 1, width))
 
 
 def _unpack(value, low: int, out: dict, mins, steps, sizes, width: int) -> None:
     """Add to `out` the nonzero slots of `value`, whose slot 0 is `low`."""
-    raw = str(value).encode("ascii")
-    # str() drops the leading zeros of the top slot, which keeps `head` digits
-    head = len(raw) % width
-    count = len(raw) // width
-    rows = np.frombuffer(raw, dtype=np.uint8, offset=head).reshape(count, width)
-    nonzero = np.flatnonzero(rows.max(axis=1) > ord("0")).tolist()
-    del rows
-    if head and value:
-        nonzero.append(-1)
+    digits = str(value)
     n = len(sizes)
-    for r in nonzero:
-        start = head + r * width
-        c = int(raw[max(start, 0):start + width])
-        e = [0] * n
-        slot = low + count - 1 - r
-        for i in range(n - 1, -1, -1):
-            slot, q = divmod(slot, sizes[i])
-            e[i] = mins[i] + steps[i] * q
-        out[tuple(e)] = c
+    slot = low
+    for stop in range(len(digits), 0, -width):
+        c = int(digits[max(stop - width, 0):stop])
+        if c:
+            e = [0] * n
+            rest = slot
+            for i in range(n - 1, -1, -1):
+                rest, q = divmod(rest, sizes[i])
+                e[i] = mins[i] + steps[i] * q
+            out[tuple(e)] = c
+        slot += 1
 
 
 def positive_mul(a: dict, b: dict) -> dict | None:
     """Product of two positive term dicts, or None if it cannot be packed.
 
-    None means over the memory cap or a slot past the int/str conversion
-    limit.  A non-None result is exact: the slot width is chosen from the
-    bound min(|a|,|b|) * max(a) * max(b) on every convolution sum, so
-    carries cannot cross slot boundaries.
+    None means a coefficient <= 0, over the memory cap, or a slot past the
+    int/str conversion limit.  A non-None result is exact: the slot width
+    is chosen from the bound min(|a|,|b|) * max(a) * max(b) on every
+    convolution sum of positive terms, so carries cannot cross slot
+    boundaries.
     """
+    if min(a.values()) <= 0 or min(b.values()) <= 0:
+        return None
     mins_a, maxs_a, gs_a = _box(a)
     mins_b, maxs_b, gs_b = _box(b)
     n = len(mins_a)
@@ -202,15 +196,10 @@ def positive_mul(a: dict, b: dict) -> dict | None:
         ((maxs_a[i] - mins_a[i]) + (maxs_b[i] - mins_b[i])) // steps[i] + 1
         for i in range(n)
     ]
-    width = _slot_width(min(len(a), len(b)) * max(a.values()) * max(b.values()))
-    if width is None:
+    geometry = _geometry(sizes, min(len(a), len(b)) * max(a.values()) * max(b.values()))
+    if geometry is None:
         return None
-    total = 1
-    for s in sizes:
-        total *= s
-    if total * width > MEMORY_CAP:
-        return None
-    strides = _strides(sizes)
+    width, strides = geometry
     with decimal.localcontext(_EXACT):
         pa = _pack(a, mins_a, steps, strides, width)
         if b is a:
@@ -229,12 +218,14 @@ def positive_mul(a: dict, b: dict) -> dict | None:
 def positive_exact_div(num: dict, den: dict) -> dict | None:
     """Certified quotient num/den of positive term dicts, or None.
 
-    None covers every unproven case: divisor support not on the numerator
-    lattice, divisor box wider than the numerator box, nonzero integer
-    remainder, failed carry-bound certificate, memory cap, or a slot past
-    the int/str conversion limit.  When a dict is returned,
-    quotient * den == num holds exactly over Z.
+    None covers every unproven case: a coefficient <= 0, divisor support
+    not on the numerator lattice, divisor box wider than the numerator
+    box, nonzero integer remainder, failed carry-bound certificate, memory
+    cap, or a slot past the int/str conversion limit.  When a dict is
+    returned, quotient * den == num holds exactly over Z.
     """
+    if min(num.values()) <= 0 or min(den.values()) <= 0:
+        return None
     mins_n, maxs_n, gs_n = _box(num)
     mins_d, maxs_d, gs_d = _box(den)
     n = len(mins_n)
@@ -250,44 +241,43 @@ def positive_exact_div(num: dict, den: dict) -> dict | None:
             return None
     sizes = [(maxs_n[i] - mins_n[i]) // steps[i] + 1 for i in range(n)]
     max_d = max(den.values())
-    width = _slot_width(len(den) * max(num.values()) * max_d)
-    if width is None:
+    geometry = _geometry(sizes, len(den) * max(num.values()) * max_d)
+    if geometry is None:
         return None
-    total = 1
-    for s in sizes:
-        total *= s
-    if total * width > MEMORY_CAP:
-        return None
-    strides = _strides(sizes)
+    width, strides = geometry
     mins_q = [mins_n[i] - mins_d[i] for i in range(n)]
+    # Long division by blocks of whole slots, from the top, each block at
+    # least as long as the divisor.  The quotient of a block fills exactly
+    # the block's slots, and the scratch space of a division follows the
+    # block length, not the numerator's.  The top block stops at the
+    # numerator's top slot.
+    block = max(
+        1 + sum((maxs_d[i] - mins_d[i]) // steps[i] * strides[i] for i in range(n)),
+        _MIN_BLOCK_DIGITS // width,
+    )
+    blocks: dict = {}
+    for pair in _layout(num, mins_n, steps, strides):
+        blocks.setdefault(pair[0] // block, []).append(pair)
+    top = max(blocks)
+    hi = 1 + max(blocks[top])[0]
     quot: dict = {}
-    coeffs, slots = _layout(num, mins_n, steps, strides)
+    rem = ""
     with decimal.localcontext(_EXACT):
         pd = _pack(den, mins_d, steps, strides, width)
-        # Long division by blocks of whole slots, from the top, each block
-        # at least as long as the divisor.  The quotient of a block fills
-        # exactly the block's slots, and the scratch space of a division
-        # follows the block length, not the numerator's.
-        block = max(
-            1 + sum((maxs_d[i] - mins_d[i]) // steps[i] * strides[i] for i in range(n)),
-            _MIN_BLOCK_DIGITS // width,
-        )
-        rem = "0"
-        for lo in range(int(slots[-1]) // block * block, -1, -block):
-            hi = lo + block
-            a, b = np.searchsorted(slots, [lo, hi]).tolist()
-            q, r = divmod(_NUM(rem + _digits(coeffs[a:b], slots[a:b], lo, hi, width)), pd)
+        for j in range(top, -1, -1):
+            lo = j * block
+            q, r = divmod(_NUM(rem + _digits(blocks.pop(j, ()), lo, hi, width)), pd)
             _unpack(q, lo, quot, mins_q, steps, sizes, width)
             rem = str(r)
+            hi = lo
     if r:
-        return None
-    if not quot:
         return None
     # Carry-bound certificate: if every convolution sum of quot*den stays
     # below the slot modulus, base-10**width digits are unique and the
     # integer identity q*pd == pn is the polynomial identity.  A true
     # quotient always passes (its coefficients are bounded by max_n, by
-    # pairing against the divisor's minimal corner).
+    # pairing against the divisor's minimal corner).  A zero remainder on
+    # a nonzero numerator leaves a nonzero quotient, so quot has terms.
     if min(len(quot), len(den)) * max(quot.values()) * max_d >= 10 ** width:
         return None
     return quot

@@ -53,6 +53,10 @@ def _int_list(text: str) -> list[int]:
 
 def _check_list(text: str) -> tuple[str, ...]:
     checks = tuple(x.strip() for x in text.split(",") if x.strip())
+    if not checks:
+        raise argparse.ArgumentTypeError(
+            f"no checks selected; choose from {','.join(SWEEP_CHECKS)}"
+        )
     for name in checks:
         if name not in SWEEP_CHECKS:
             raise argparse.ArgumentTypeError(

@@ -6,9 +6,10 @@ stored coefficient is zero, and equality is structural.  Coefficients are
 arbitrary-precision ints; along the exchange recurrence they grow far past
 machine words, so nothing here ever rounds.
 
-Multiplication and exact division of large all-positive operands are
-routed through the packed big-integer kernels in ``_packed``; the sparse
-dict algorithms below remain the reference semantics and the fallback.
+Multiplication and exact division of large operands are offered to the
+packed big-integer kernels in ``_packed``, which decline what they cannot
+prove, such as any operand with a coefficient <= 0; the sparse dict
+algorithms below remain the reference semantics and the fallback.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class LaurentPolynomial:
     stripped.  Arithmetic is exact; operands must share a context.
     """
 
-    __slots__ = ("context", "_terms", "_positive")
+    __slots__ = ("context", "_terms")
 
     def __init__(self, context: VariableContext, terms: Mapping[tuple[int, ...], int] | None = None):
         if not isinstance(context, VariableContext):
@@ -90,7 +91,6 @@ class LaurentPolynomial:
                 clean[e] = c
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_positive", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -102,7 +102,6 @@ class LaurentPolynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_positive", None)
         return self
 
     # ------------------------------------------------------------------
@@ -220,11 +219,7 @@ class LaurentPolynomial:
             return other._shift_scale(next(iter(a.items())))
         if len(b) == 1:
             return self._shift_scale(next(iter(b.items())))
-        if (
-            len(a) * len(b) >= _PACK_MUL_WORK
-            and self.is_positive()
-            and other.is_positive()
-        ):
+        if len(a) * len(b) >= _PACK_MUL_WORK:
             packed = _packed.positive_mul(a, b)
             if packed is not None:
                 return LaurentPolynomial._raw(self.context, packed)
@@ -256,25 +251,26 @@ class LaurentPolynomial:
             return NotImplemented
         if n < 0:
             raise ValueError("negative powers are not defined on polynomials")
-        result = LaurentPolynomial.one(self.context)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed:
-                base = base * base
+        if n == 0:
+            return LaurentPolynomial.one(self.context)
+        # left to right from the top bit, so no factor is a copy of one
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def exact_div(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Quotient q with q * other == self, or raise NotDivisible.
 
         Monomial divisors are units in the Laurent ring up to coefficient
-        content.  The general case factors out monomial content, attempts
-        the packed positive kernel, and falls back to multivariate long
-        division under graded lex order, whose first stuck leading term is
-        a certificate of non-divisibility for exact multiples.
+        content.  A large numerator is offered to the packed kernel, which
+        declines what it cannot prove (a coefficient <= 0, an inexact or
+        uncertified quotient, a packing over its limits).  Otherwise the
+        general case factors out monomial content and runs multivariate
+        long division under graded lex order, whose first stuck leading
+        term is a certificate of non-divisibility for exact multiples.
         """
         other = self._coerce(other)
         if other is None:
@@ -292,11 +288,7 @@ class LaurentPolynomial:
                     raise NotDivisible(f"coefficient {c} not divisible by {c0}")
                 out[tuple(e[i] - e0[i] for i in range(n))] = c // c0
             return LaurentPolynomial._raw(self.context, out)
-        if (
-            len(self._terms) >= _PACK_DIV_NUM_TERMS
-            and self.is_positive()
-            and other.is_positive()
-        ):
+        if len(self._terms) >= _PACK_DIV_NUM_TERMS:
             packed = _packed.positive_exact_div(self._terms, other._terms)
             if packed is not None:
                 return LaurentPolynomial._raw(self.context, packed)
@@ -418,11 +410,7 @@ class LaurentPolynomial:
 
     def is_positive(self) -> bool:
         """True iff every stored coefficient is > 0 (vacuously true for 0)."""
-        cached = self._positive
-        if cached is None:
-            cached = all(c > 0 for c in self._terms.values())
-            object.__setattr__(self, "_positive", cached)
-        return cached
+        return all(c > 0 for c in self._terms.values())
 
     def denominator_exponents(self) -> tuple[int, ...]:
         """Exponent vector of the monomial denominator in N / monomial form.

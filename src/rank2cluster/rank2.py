@@ -184,6 +184,8 @@ def check_positivity_range(
     it, also as inconclusive.  Both guards keep a sweep honest about what
     it did not verify.
     """
+    if not checks:
+        raise ValueError(f"no checks selected; choose from {SWEEP_CHECKS}")
     for name in checks:
         if name not in SWEEP_CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {SWEEP_CHECKS}")

@@ -147,6 +147,9 @@ def test_argparse_errors_exit_2():
         main(["sweep", "--b", "1", "--c", "1", "--check", "positivity,unitary"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
+        main(["sweep", "--b", "1", "--c", "1", "--check", ""])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
         main(["exchange", "--b", "1", "--c", "1", "--class", "z", "--s", "0"])
     assert info.value.code == 2
 

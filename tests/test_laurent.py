@@ -473,6 +473,41 @@ def test_packed_div_failure_falls_back_to_certificate():
         bad.exact_div(big)
 
 
+@pytest.mark.parametrize("kernel", [_packed.positive_mul, _packed.positive_exact_div])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [0, -1])
+def test_packed_kernels_decline_non_positive_coefficients(kernel, side, bad):
+    # the carry bound only holds for positive terms: with a -1 the product
+    # {(0,0): -1, (1,0): 2} * {(0,0): 1, (1,0): 1} would pack to a wrong answer
+    a, b = {(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (1, 0): 1}
+    operands = [a, b] if kernel is _packed.positive_mul else [_convolve(a, b), b]
+    operands[side] = {**operands[side], (0, 0): bad}
+    assert kernel(*operands) is None
+
+
+def test_non_positive_operands_take_the_sparse_paths():
+    # above both size gates, one negative coefficient makes both kernels
+    # decline, and the sparse product and long division answer
+    terms = {(i, j): 1 for i in range(45) for j in range(45)}
+    terms[3, 4] = -1
+    big = LaurentPolynomial(X, terms)
+    small = LaurentPolynomial(X, {(i, 2 * i): i + 1 for i in range(15)})
+    answers = []
+
+    def spy(kernel):
+        def wrapper(*args):
+            answers.append(kernel(*args))
+            return answers[-1]
+        return wrapper
+
+    with mock.patch.object(_packed, "positive_mul", spy(_packed.positive_mul)), \
+            mock.patch.object(_packed, "positive_exact_div", spy(_packed.positive_exact_div)):
+        product = big * small
+        assert product == LaurentPolynomial._raw(X, _convolve(terms, dict(small.terms)))
+        assert product.exact_div(small) == big
+    assert answers == [None, None]
+
+
 @given(wide_term_dicts(), wide_term_dicts(), st.sampled_from([None, 1]))
 @settings(max_examples=200)
 def test_packed_kernels_across_word_boundaries(a, b, min_block):
@@ -488,11 +523,9 @@ def test_packed_kernels_across_word_boundaries(a, b, min_block):
 
 # int parses and prints the same digit strings as gmpy2's mpz, so with
 # _NUM patched to int the kernels run the gmpy2 arm's code path.  Unlike
-# mpz, int applies sys.get_int_max_str_digits() to a whole packed string,
-# and a division block is padded to _MIN_BLOCK_DIGITS (65536) digits.  A
-# 3x3 exponent box, coefficients of at most 39 digits and blocks as long
-# as the divisor or 1024 digits, whichever is longer, keep every string
-# under 3100 digits, below the default limit of 4300.
+# mpz, int applies sys.get_int_max_str_digits() to a whole packed string.
+# A 3x3 exponent box and coefficients of at most 39 digits keep every
+# string under 3100 digits, below the default limit of 4300.
 @st.composite
 def int_arm_term_dicts(draw, max_terms=5):
     n = draw(st.integers(1, max_terms))
@@ -501,7 +534,11 @@ def int_arm_term_dicts(draw, max_terms=5):
     return {draw(exponent): draw(coefficient) for _ in range(n)}
 
 
-@given(int_arm_term_dicts(), int_arm_term_dicts(), st.sampled_from([1, 1024]))
+@given(
+    int_arm_term_dicts(),
+    int_arm_term_dicts(),
+    st.sampled_from([1, 1024, _packed._MIN_BLOCK_DIGITS]),
+)
 @settings(max_examples=200)
 def test_packed_kernels_on_the_gmpy2_arm(a, b, min_block):
     product = _convolve(a, b)

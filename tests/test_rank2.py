@@ -277,6 +277,8 @@ def test_sweep_validation():
         check_positivity_range(T23, 0, 1, 0, 0, checks=("laurent", "unitary"))
     with pytest.raises(ValueError):
         check_positivity_range(T23, 2, 1, 0, 0)
+    with pytest.raises(ValueError):
+        check_positivity_range(T23, 0, 1, 0, 0, checks=())
 
 
 # ---------------------------------------------------------------------------
