@@ -8,14 +8,19 @@ Every subcommand accepts --json; the payload is
 {"command": ..., "results": [...], "report": ...} with the report null
 for plain computations.  Subcommands that sample generic modules take
 --seed (default 0).
+
+A call pays only for the answer it prints: the argument parser is built
+once per process, on the first call, and with --json no text rendering
+(polynomial strings, object descriptions, report summaries) is done.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ccmap import (
     BudgetExceeded,
@@ -78,6 +83,7 @@ def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON payload instead of text")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rank2cluster",
@@ -160,7 +166,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, results: list, report: CheckReport | None, text: str) -> None:
+def _emit(
+    args: argparse.Namespace,
+    results: list,
+    report: CheckReport | None,
+    text: Callable[[], str],
+) -> None:
     if args.json:
         payload = {
             "command": args.command,
@@ -169,18 +180,18 @@ def _emit(args: argparse.Namespace, results: list, report: CheckReport | None, t
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _cmd_var(args: argparse.Namespace) -> int:
     p = cluster_variable(ExchangeType(args.b, args.c), args.k)
-    _emit(args, [p.to_json_dict()], None, str(p))
+    _emit(args, [p.to_json_dict()], None, p.__str__)
     return 0
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     p = expand_in_cluster(ExchangeType(args.b, args.c), args.k, args.m)
-    _emit(args, [p.to_json_dict()], None, str(p))
+    _emit(args, [p.to_json_dict()], None, p.__str__)
     return 0
 
 
@@ -195,14 +206,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         budget_seconds=args.budget_seconds,
         max_predicted_terms=args.max_terms,
     )
-    _emit(args, [], report, report.summary())
+    _emit(args, [], report, report.summary)
     return report.exit_code()
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
     period = detect_period(ExchangeType(args.b, args.c), args.max)
-    text = str(period) if period is not None else f"none <= {args.max}"
-    _emit(args, [{"max_checked": args.max, "period": period}], None, text)
+    _emit(
+        args,
+        [{"max_checked": args.max, "period": period}],
+        None,
+        lambda: str(period) if period is not None else f"none <= {args.max}",
+    )
     return 0
 
 
@@ -210,13 +225,14 @@ def _cmd_ccmap(args: argparse.Namespace) -> int:
     obj = object_for_index(args.b, args.c, args.k)
     Q = kronecker_quiver(args.b, args.c)
     X = cc_polynomial(Q, obj, seed=args.seed)
-    results = [X.to_json_dict()]
-    lines = [f"object: {obj.describe()}", f"X = {X}"]
-    if args.fold:
-        folded = fold(X, args.b, args.c)
-        results.append(folded.to_json_dict())
-        lines.append(f"pi(X) = {folded}")
-    _emit(args, results, None, "\n".join(lines))
+    polys = [X] + ([fold(X, args.b, args.c)] if args.fold else [])
+
+    def text() -> str:
+        lines = [f"object: {obj.describe()}", f"X = {X}"]
+        lines += [f"pi(X) = {folded}" for folded in polys[1:]]
+        return "\n".join(lines)
+
+    _emit(args, [p.to_json_dict() for p in polys], None, text)
     return 0
 
 
@@ -229,13 +245,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     for k in range(args.k_min, args.k_max + 1):
         report.extend(verify_folding(args.b, args.c, k, seed=args.seed))
-    _emit(args, [], report, report.summary())
+    _emit(args, [], report, report.summary)
     return report.exit_code()
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
     report = verify_exchange_relation(args.b, args.c, args.orbit_class, args.s, seed=args.seed)
-    _emit(args, [], report, report.summary())
+    _emit(args, [], report, report.summary)
     return report.exit_code()
 
 
@@ -261,7 +277,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
         "e": list(args.sub),
         "module": args.module if args.module == "generic" else f"{args.module}{args.index}",
     }
-    _emit(args, [result], None, str(chi))
+    _emit(args, [result], None, lambda: str(chi))
     return 0
 
 
@@ -278,8 +294,7 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except _INCONCLUSIVE as exc:
@@ -289,7 +304,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"FAIL: inexact division: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print it unquoted
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"usage error: {message}", file=sys.stderr)
         return 2
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -397,16 +398,19 @@ class LaurentPolynomial:
             raise ValueError(f"not variables of this context: {sorted(extraneous)}")
         if set(perm.values()) != set(names):
             raise ValueError("mapping is not a bijection of the context")
-        # position i sends its exponent to the position of perm[names[i]]
-        dest = [self.context.index(perm[name]) for name in names]
-        n = len(names)
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self._terms.items():
-            f = [0] * n
-            for i in range(n):
-                f[dest[i]] = e[i]
-            out[tuple(f)] = c
-        return LaurentPolynomial._raw(self.context, out)
+        # position i sends its exponent to the position of perm[names[i]], so
+        # position j of the result reads the exponent at position src[j]
+        src = [0] * len(names)
+        for i, name in enumerate(names):
+            src[self.context.index(perm[name])] = i
+        if src == list(range(len(src))):
+            # the identity; this covers every 1-variable context, where
+            # itemgetter would return a scalar instead of a tuple
+            return self
+        reindex = itemgetter(*src)
+        return LaurentPolynomial._raw(
+            self.context, {reindex(e): c for e, c in self._terms.items()}
+        )
 
     def is_positive(self) -> bool:
         """True iff every stored coefficient is > 0 (vacuously true for 0)."""

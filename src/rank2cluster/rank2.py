@@ -182,7 +182,8 @@ def check_positivity_range(
     without gmpy2, a (2,3) x_11 cell takes 3 to 7 s and x_12 15 to 30 s).
     max_predicted_terms skips cells whose numerator support bound exceeds
     it, also as inconclusive.  Both guards keep a sweep honest about what
-    it did not verify.
+    it did not verify.  A NaN or negative budget_seconds and a negative
+    max_predicted_terms raise ValueError; budget_seconds=inf means no budget.
     """
     if not checks:
         raise ValueError(f"no checks selected; choose from {SWEEP_CHECKS}")
@@ -191,6 +192,11 @@ def check_positivity_range(
             raise ValueError(f"unknown check {name!r}; choose from {SWEEP_CHECKS}")
     if k_min > k_max or m_min > m_max:
         raise ValueError("empty sweep range")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        # NaN compares false against every deadline and would disable it
+        raise ValueError(f"budget_seconds must be >= 0 or inf, got {budget_seconds}")
+    if max_predicted_terms is not None and max_predicted_terms < 0:
+        raise ValueError(f"max_predicted_terms must be >= 0, got {max_predicted_terms}")
     report = CheckReport(
         f"sweep b={t.b} c={t.c} k in [{k_min},{k_max}] m in [{m_min},{m_max}] "
         f"checks={','.join(checks)}"

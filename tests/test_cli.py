@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 import rank2cluster
 from rank2cluster.cli import main
+from rank2cluster.laurent import LaurentPolynomial
+from rank2cluster.report import CheckReport
 
 GOLDEN_XM1 = "(1 + 3*x1^2 + 3*x1^4 + x1^6 + x2^3) / (x1*x2^3)"
 
@@ -124,6 +127,13 @@ def test_semantic_usage_error(capsys):
     code, _, err = run(capsys, "var", "--b", "0", "--c", "3", "--k", "1")
     assert code == 2
     assert "usage error" in err
+    # a NaN budget would never expire and a negative guard would skip every
+    # cell: both are refused before any cell runs
+    grid = ("sweep", "--b", "1", "--c", "2", "--k-min", "0", "--k-max", "1")
+    for guard in (("--budget-seconds", "nan"), ("--budget-seconds", "-1"),
+                  ("--max-terms", "-1")):
+        code, out, err = run(capsys, *grid, *guard)
+        assert (code, out) == (2, "") and err.startswith("usage error: ")
 
 
 def test_euler_usage_errors(capsys):
@@ -137,6 +147,12 @@ def test_euler_usage_errors(capsys):
         "--dim", "1,1,1,1", "--sub", "0,0,0,0",
     )
     assert code == 2 and "--dim applies only" in err
+    # a KeyError's message is printed as it reads, not as its repr
+    code, _, err = run(
+        capsys,
+        "euler", "--b", "2", "--c", "2", "--module", "Pv", "--index", "9", "--sub", "1,0,1,1",
+    )
+    assert (code, err) == (2, "usage error: unknown vertex 'v9'\n")
 
 
 def test_argparse_errors_exit_2():
@@ -152,6 +168,35 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["exchange", "--b", "1", "--c", "1", "--class", "z", "--s", "0"])
     assert info.value.code == 2
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    query = ("period", "--b", "1", "--c", "1", "--max", "10")
+    first = run(capsys, *query)
+    built.clear()
+    assert run(capsys, *query) == first
+    assert built == []
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # the parser is shared by every call, so a failed parse must leave
+    # nothing behind: the next call parses its defaults as before
+    query = ("sweep", "--b", "1", "--c", "2", "--k-min", "-1", "--k-max", "2",
+             "--m-min", "0", "--m-max", "1", "--json")
+    before = run(capsys, *query)
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--b", "1", "--c", "2", "--check", ""])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *query) == before
 
 
 def test_verify_empty_range_rejected(capsys):
@@ -194,6 +239,39 @@ def test_json_output_is_byte_deterministic(capsys):
     _, second, _ = run(capsys, *args)
     assert first == second
     assert json.dumps(json.loads(first), sort_keys=True) + "\n" == first
+
+
+def test_json_renders_no_text(capsys, monkeypatch):
+    rendered = []
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self):
+            rendered.append(name)
+            return original(self)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    spy(LaurentPolynomial, "__str__")
+    spy(CheckReport, "summary")
+    queries = [
+        ("var", "--b", "2", "--c", "3", "--k", "-1"),
+        ("expand", "--b", "2", "--c", "3", "--k", "4", "--m", "2"),
+        ("ccmap", "--b", "2", "--c", "3", "--k", "-1", "--fold"),
+        ("verify", "--b", "2", "--c", "3", "--k-min", "-1", "--k-max", "4"),
+    ]
+    for query in queries:
+        code, out, _ = run(capsys, *query, "--json")
+        assert code == 0 and json.loads(out)["command"] == query[0]
+    assert rendered == []
+    # the text format still renders through the same methods
+    texts = [run(capsys, *query)[1].strip().splitlines() for query in queries]
+    assert texts[0] == [GOLDEN_XM1]
+    assert texts[1] == ["(1 + y2^2) / y1"]
+    assert texts[2][0] == "object: P_v1" and texts[2][2] == f"pi(X) = {GOLDEN_XM1}"
+    assert "6 passed, 0 failed, 0 inconclusive" in texts[3][0]
+    assert set(rendered) == {"__str__", "summary"}
 
 
 # ---------------------------------------------------------------------------

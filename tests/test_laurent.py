@@ -233,6 +233,11 @@ def test_permute_swap():
     p = LaurentPolynomial(U, {(0, 0, -1, 0, 0): 1, (1, 1, -1, 0, 0): 1})
     swapped = p.permute_variables({"u_w1": "u_w2", "u_w2": "u_w1"})
     assert swapped == LaurentPolynomial(U, {(0, 0, 0, -1, 0): 1, (1, 1, 0, -1, 0): 1})
+    # a 3-cycle is not its own inverse, so it tells source from destination:
+    # u_v1 -> u_v2 -> u_w1 -> u_v1 moves the u_v1 exponent to u_v2's slot
+    q = LaurentPolynomial(U, {(1, 2, 3, 4, 5): 7, (0, 0, -1, 0, 0): 1})
+    cycled = q.permute_variables({"u_v1": "u_v2", "u_v2": "u_w1", "u_w1": "u_v1"})
+    assert cycled == LaurentPolynomial(U, {(3, 1, 2, 4, 5): 7, (-1, 0, 0, 0, 0): 1})
 
 
 def test_permute_identity_and_composition():
@@ -240,6 +245,9 @@ def test_permute_identity_and_composition():
     assert p.permute_variables({}) == p
     swap = {"x1": "x2", "x2": "x1"}
     assert p.permute_variables(swap).permute_variables(swap) == p
+    y = VariableContext(("y",))
+    q = LaurentPolynomial(y, {(2,): 3, (-1,): 1})
+    assert q.permute_variables({}) == q == q.permute_variables({"y": "y"})
 
 
 def test_permute_rejects_non_bijection():

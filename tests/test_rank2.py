@@ -279,6 +279,14 @@ def test_sweep_validation():
         check_positivity_range(T23, 2, 1, 0, 0)
     with pytest.raises(ValueError):
         check_positivity_range(T23, 0, 1, 0, 0, checks=())
+    # a NaN budget never expires and a negative guard skips every cell
+    for guards in ({"budget_seconds": float("nan")}, {"budget_seconds": -1.0},
+                   {"max_predicted_terms": -1}):
+        with pytest.raises(ValueError):
+            check_positivity_range(T23, 0, 1, 0, 0, **guards)
+    # inf is no budget at all
+    report = check_positivity_range(T23, 0, 1, 0, 0, budget_seconds=float("inf"))
+    assert report.all_passed
 
 
 # ---------------------------------------------------------------------------
