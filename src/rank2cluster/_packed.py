@@ -1,15 +1,19 @@
-"""Packed big-number kernels for arithmetic on positive sparse polynomials.
+"""The exchange step (base**e + 1) / den as one packed big-number kernel.
 
 A polynomial with positive integer coefficients can be evaluated into one
 huge integer by laying its coefficient box out in base 10**w, a
 multivariate Kronecker substitution: each slot of the box is w decimal
-digits.  Products and exact quotients of such integers recover the
+digits.  Powers and exact quotients of such integers recover the
 polynomial operations as long as no convolution sum ever reaches the slot
 modulus; positivity makes the required slot width cheap to bound ahead of
-time, which turns this from a heuristic into a proof.  Recurrence sweeps
-spend nearly all their time in dense positive products and quotients, so
-routing them through a subquadratic big-number library is worth the
-bookkeeping.
+time, which turns this from a heuristic into a proof.  That bound holds
+for the positive polynomials of the exchange recurrence
+x_{k+1} = (x_k**e + 1) / x_{k-1}, not for a general ring element, so the
+packing serves that one step: ``positive_exact_div`` packs x_k and x_{k-1}
+once each, raises the packed base to the e-th power, adds the constant
+slot, divides, and unpacks only the quotient.  Recurrence sweeps spend
+nearly all their time in these steps, so running them on a subquadratic
+big-number library is worth the bookkeeping.
 
 The packed numbers are ``gmpy2.mpz`` when gmpy2 is importable and
 ``decimal.Decimal`` otherwise.  CPython's ``decimal`` is libmpdec, which
@@ -20,20 +24,22 @@ Decimal arithmetic runs under ``_EXACT``, a context that traps every
 rounding, entered locally so the caller's context is neither read nor
 changed.
 
-Entry points take any term dicts and return plain exponent-tuple ->
-coefficient dicts, or None when they cannot establish their answer: an
-operand with a coefficient <= 0, which the carry bound does not cover, or
-a packing past the memory budget or the interpreter's int/str conversion
-limit.  Callers must treat None as "fall back to the generic sparse
-algorithm", never as a divisibility verdict.  ``positive_mul`` results are
-always exact; ``positive_exact_div`` certifies the quotient with a
-carry-bound argument before returning it, so an accidental integer
-divisibility can never leak through as a wrong polynomial quotient.
+The kernel takes term dicts and returns a plain exponent-tuple ->
+coefficient dict, or None when it cannot establish its answer: an operand
+with a coefficient <= 0, which the carry bound does not cover, a divisor
+off the numerator's lattice or box, a nonzero remainder, a failed
+certificate, or a packing past the memory budget or the interpreter's
+int/str conversion limit.  Callers must treat None as "fall back to the
+sparse step", never as a divisibility verdict.  The quotient is certified
+by its support and a carry bound before it is returned, so an accidental
+integer divisibility can never leak through as a wrong polynomial
+quotient.
 
-The slot bookkeeping is plain Python over the digit strings: terms become
-(slot, coefficient) pairs written into a digit buffer, and results are
-read back by slicing their decimal string from the right, one slot at a
-time.
+The slot bookkeeping is plain Python over digit strings: terms become
+(slot, coefficient) pairs written into a digit buffer, and the quotient
+is read back by slicing its decimal string from the right, one slot at a
+time.  The numerator is never written out as digits: the long division
+cuts its blocks off the packed power by powers of ten.
 """
 
 from __future__ import annotations
@@ -177,59 +183,44 @@ def _unpack(value, low: int, out: dict, mins, steps, sizes, width: int) -> None:
         slot += 1
 
 
-def positive_mul(a: dict, b: dict) -> dict | None:
-    """Product of two positive term dicts, or None if it cannot be packed.
+def _ten(digits: int):
+    """10**digits as a packed number; in Decimal a one-word coefficient."""
+    if _NUM is decimal.Decimal:
+        return decimal.Decimal((0, (1,), digits))
+    return _NUM(10) ** digits
 
-    None means a coefficient <= 0, over the memory cap, or a slot past the
-    int/str conversion limit.  A non-None result is exact: the slot width
-    is chosen from the bound min(|a|,|b|) * max(a) * max(b) on every
-    convolution sum of positive terms, so carries cannot cross slot
-    boundaries.
+
+def _split(value, digits: int):
+    """divmod(value, 10**digits), in Decimal by moving the exponent.
+
+    libmpdec divides by a power of ten as by any other number; truncating
+    the scaled value and subtracting takes linear time instead.
     """
-    if min(a.values()) <= 0 or min(b.values()) <= 0:
-        return None
-    mins_a, maxs_a, gs_a = _box(a)
-    mins_b, maxs_b, gs_b = _box(b)
-    n = len(mins_a)
-    steps = [gcd(gs_a[i], gs_b[i]) or 1 for i in range(n)]
-    sizes = [
-        ((maxs_a[i] - mins_a[i]) + (maxs_b[i] - mins_b[i])) // steps[i] + 1
-        for i in range(n)
-    ]
-    geometry = _geometry(sizes, min(len(a), len(b)) * max(a.values()) * max(b.values()))
-    if geometry is None:
-        return None
-    width, strides = geometry
-    with decimal.localcontext(_EXACT):
-        pa = _pack(a, mins_a, steps, strides, width)
-        if b is a:
-            # one pack, and libmpdec squares with three transform buffers
-            # where a product of two numbers takes four
-            prod = pa * pa
-        else:
-            prod = pa * _pack(b, mins_b, steps, strides, width)
-        del pa
-    out: dict = {}
-    mins_out = [mins_a[i] + mins_b[i] for i in range(n)]
-    _unpack(prod, 0, out, mins_out, steps, sizes, width)
-    return out
+    if _NUM is not decimal.Decimal:
+        return divmod(value, _ten(digits))
+    high = value.scaleb(-digits).to_integral_value(rounding=decimal.ROUND_DOWN)
+    return high, value - high * _ten(digits)
 
 
-def positive_exact_div(num: dict, den: dict) -> dict | None:
-    """Certified quotient num/den of positive term dicts, or None.
+def positive_exact_div(base: dict, den: dict, e: int) -> dict | None:
+    """Certified quotient (base**e + 1) / den of positive term dicts, or None.
 
     None covers every unproven case: a coefficient <= 0, divisor support
     not on the numerator lattice, divisor box wider than the numerator
-    box, nonzero integer remainder, failed carry-bound certificate, memory
-    cap, or a slot past the int/str conversion limit.  When a dict is
-    returned, quotient * den == num holds exactly over Z.
+    box, nonzero integer remainder, failed certificate, memory cap, or a
+    slot past the int/str conversion limit.  When a dict is returned,
+    quotient * den == base**e + 1 holds exactly over Z.
     """
-    if min(num.values()) <= 0 or min(den.values()) <= 0:
+    if min(base.values()) <= 0 or min(den.values()) <= 0:
         return None
-    mins_n, maxs_n, gs_n = _box(num)
+    mins_b, maxs_b, gs_b = _box(base)
     mins_d, maxs_d, gs_d = _box(den)
-    n = len(mins_n)
-    steps = [g or 1 for g in gs_n]
+    n = len(mins_b)
+    # base**e spans e times base's box on base's lattice, from e*mins_b;
+    # the constant term joins the origin to it
+    mins_n = [min(e * m, 0) for m in mins_b]
+    maxs_n = [max(e * m, 0) for m in maxs_b]
+    steps = [gcd(gs_b[i], e * mins_b[i]) or 1 for i in range(n)]
     for i in range(n):
         # A positive-coefficient multiple has Minkowski-sum support, so the
         # divisor box must embed in the numerator box on its lattice.
@@ -241,43 +232,58 @@ def positive_exact_div(num: dict, den: dict) -> dict | None:
             return None
     sizes = [(maxs_n[i] - mins_n[i]) // steps[i] + 1 for i in range(n)]
     max_d = max(den.values())
-    geometry = _geometry(sizes, len(den) * max(num.values()) * max_d)
+    # a coefficient of base**e sums at most len(base)**(e-1) products of e
+    # coefficients, so this bounds every numerator coefficient
+    max_n = len(base) ** (e - 1) * max(base.values()) ** e + 1
+    geometry = _geometry(sizes, len(den) * max_n * max_d)
     if geometry is None:
         return None
     width, strides = geometry
+
+    def slot(exps) -> int:
+        return sum((exps[i] - mins_n[i]) // steps[i] * strides[i] for i in range(n))
+
     mins_q = [mins_n[i] - mins_d[i] for i in range(n)]
     # Long division by blocks of whole slots, from the top, each block at
     # least as long as the divisor.  The quotient of a block fills exactly
     # the block's slots, and the scratch space of a division follows the
-    # block length, not the numerator's.  The top block stops at the
-    # numerator's top slot.
+    # block length, not the numerator's.
     block = max(
         1 + sum((maxs_d[i] - mins_d[i]) // steps[i] * strides[i] for i in range(n)),
         _MIN_BLOCK_DIGITS // width,
     )
-    blocks: dict = {}
-    for pair in _layout(num, mins_n, steps, strides):
-        blocks.setdefault(pair[0] // block, []).append(pair)
-    top = max(blocks)
-    hi = 1 + max(blocks[top])[0]
+    # base**e starts at the slot of e*mins_b, the constant at the origin's
+    shift = slot([e * m for m in mins_b])
+    one = slot([0] * n)
+    hi = sizes[0] * strides[0]
     quot: dict = {}
-    rem = ""
+    rem = 0
     with decimal.localcontext(_EXACT):
         pd = _pack(den, mins_d, steps, strides, width)
-        for j in range(top, -1, -1):
-            lo = j * block
-            q, r = divmod(_NUM(rem + _digits(blocks.pop(j, ()), lo, hi, width)), pd)
+        # every slot of the power holds one coefficient of base**e, below
+        # the slot modulus, so the power packs base**e without carries
+        rest = _pack(base, mins_b, steps, strides, width) ** e
+        if shift:
+            rest *= _ten(shift * width)
+        for lo in range((hi - 1) // block * block, -1, -block):
+            part, rest = _split(rest, lo * width)
+            if lo <= one < hi:
+                part += _ten((one - lo) * width)
+            q, rem = divmod(rem * _ten((hi - lo) * width) + part, pd)
             _unpack(q, lo, quot, mins_q, steps, sizes, width)
-            rem = str(r)
             hi = lo
-    if r:
+    if rem:
         return None
-    # Carry-bound certificate: if every convolution sum of quot*den stays
-    # below the slot modulus, base-10**width digits are unique and the
-    # integer identity q*pd == pn is the polynomial identity.  A true
-    # quotient always passes (its coefficients are bounded by max_n, by
-    # pairing against the divisor's minimal corner).  A zero remainder on
-    # a nonzero numerator leaves a nonzero quotient, so quot has terms.
+    # Certificate: if quot*den stays inside the numerator box, so that no
+    # slot wraps into the next row, and every convolution sum stays below
+    # the slot modulus, then q*pd is the packing of quot*den digit for
+    # digit, and the integer identity is the polynomial identity.  A true
+    # quotient always passes (its support is a Minkowski summand of the
+    # numerator's, and its coefficients are bounded by max_n, by pairing
+    # against the divisor's minimal corner).  A zero remainder on a nonzero
+    # numerator leaves a nonzero quotient, so quot has terms.
+    if any(max(x[i] for x in quot) + maxs_d[i] > maxs_n[i] for i in range(n)):
+        return None
     if min(len(quot), len(den)) * max(quot.values()) * max_d >= 10 ** width:
         return None
     return quot

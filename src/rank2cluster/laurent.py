@@ -6,10 +6,10 @@ stored coefficient is zero, and equality is structural.  Coefficients are
 arbitrary-precision ints; along the exchange recurrence they grow far past
 machine words, so nothing here ever rounds.
 
-Multiplication and exact division of large operands are offered to the
-packed big-integer kernels in ``_packed``, which decline what they cannot
-prove, such as any operand with a coefficient <= 0; the sparse dict
-algorithms below remain the reference semantics and the fallback.
+The sparse dict algorithms here are the reference semantics for every
+ring operation.  The one hot operation of the recurrence, the exchange
+step, has its own packed kernel in ``_packed``, called by ``rank2``,
+which falls back to these algorithms when that kernel declines.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
-
-from . import _packed
 
 
 class NotDivisible(ArithmeticError):
@@ -55,12 +53,6 @@ class VariableContext:
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
-
-
-# Gate sizes for handing work to the packed kernels.  Below these, dict
-# arithmetic wins on constant factors.
-_PACK_MUL_WORK = 20_000
-_PACK_DIV_NUM_TERMS = 600
 
 
 class LaurentPolynomial:
@@ -220,10 +212,6 @@ class LaurentPolynomial:
             return other._shift_scale(next(iter(a.items())))
         if len(b) == 1:
             return self._shift_scale(next(iter(b.items())))
-        if len(a) * len(b) >= _PACK_MUL_WORK:
-            packed = _packed.positive_mul(a, b)
-            if packed is not None:
-                return LaurentPolynomial._raw(self.context, packed)
         out: dict[tuple[int, ...], int] = {}
         n = self.context.arity
         for e, c in a.items():
@@ -266,12 +254,10 @@ class LaurentPolynomial:
         """Quotient q with q * other == self, or raise NotDivisible.
 
         Monomial divisors are units in the Laurent ring up to coefficient
-        content.  A large numerator is offered to the packed kernel, which
-        declines what it cannot prove (a coefficient <= 0, an inexact or
-        uncertified quotient, a packing over its limits).  Otherwise the
-        general case factors out monomial content and runs multivariate
-        long division under graded lex order, whose first stuck leading
-        term is a certificate of non-divisibility for exact multiples.
+        content.  The general case factors out monomial content and runs
+        multivariate long division under graded lex order, whose first
+        stuck leading term is a certificate of non-divisibility for exact
+        multiples.
         """
         other = self._coerce(other)
         if other is None:
@@ -289,10 +275,6 @@ class LaurentPolynomial:
                     raise NotDivisible(f"coefficient {c} not divisible by {c0}")
                 out[tuple(e[i] - e0[i] for i in range(n))] = c // c0
             return LaurentPolynomial._raw(self.context, out)
-        if len(self._terms) >= _PACK_DIV_NUM_TERMS:
-            packed = _packed.positive_exact_div(self._terms, other._terms)
-            if packed is not None:
-                return LaurentPolynomial._raw(self.context, packed)
         return self._long_division(other)
 
     def _long_division(self, other: "LaurentPolynomial") -> "LaurentPolynomial":

@@ -46,6 +46,10 @@ class NotIntegral(RuntimeError):
     """Interpolated counting polynomial is non-integer at q = 1."""
 
 
+class BudgetExceeded(RuntimeError):
+    """Module dimension total too large for Grassmannian enumeration."""
+
+
 @dataclass(frozen=True)
 class Quiver:
     """Finite acyclic quiver with named vertices."""
@@ -120,28 +124,30 @@ def euler_matrix(Q: Quiver) -> np.ndarray:
     return C
 
 
-def _as_dimvec(Q: Quiver, d: Sequence[int], allow_negative: bool = False) -> np.ndarray:
-    arr = np.asarray(list(d), dtype=np.int64)
-    if arr.shape != (Q.n,):
-        raise ValueError(f"dimension vector has length {arr.shape}, quiver has {Q.n} vertices")
-    if not allow_negative and (arr < 0).any():
-        raise ValueError(f"dimension vector must be nonnegative: {tuple(int(x) for x in arr)}")
-    return arr
+def _as_dimvec(Q: Quiver, d: Sequence[int], allow_negative: bool = False) -> tuple[int, ...]:
+    # plain ints: dimension vectors far along an orbit outgrow int64
+    dv = tuple(int(x) for x in d)
+    if len(dv) != Q.n:
+        raise ValueError(f"dimension vector has length {(len(dv),)}, quiver has {Q.n} vertices")
+    if not allow_negative and any(x < 0 for x in dv):
+        raise ValueError(f"dimension vector must be nonnegative: {dv}")
+    return dv
 
 
 def euler_form(Q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
+    """<d, e> = sum_i d_i e_i - sum over arrows s -> t of d_s e_t."""
     dv = _as_dimvec(Q, d, allow_negative=True)
     ev = _as_dimvec(Q, e, allow_negative=True)
-    return int(dv @ euler_matrix(Q) @ ev)
+    return sum(x * y for x, y in zip(dv, ev)) - sum(dv[s] * ev[t] for s, t in Q.arrow_indices())
 
 
 # ---------------------------------------------------------------------------
 # Coxeter transformation on dimension vectors
 
-_COXETER_CACHE: dict[Quiver, tuple[np.ndarray, np.ndarray]] = {}
+_COXETER_CACHE: dict[Quiver, tuple[list[list[int]], list[list[int]]]] = {}
 
 
-def _coxeter_matrices(Q: Quiver) -> tuple[np.ndarray, np.ndarray]:
+def _coxeter_matrices(Q: Quiver) -> tuple[list[list[int]], list[list[int]]]:
     got = _COXETER_CACHE.get(Q)
     if got is not None:
         return got
@@ -151,8 +157,9 @@ def _coxeter_matrices(Q: Quiver) -> tuple[np.ndarray, np.ndarray]:
     Cinv = np.array([projective_dimension_vector(Q, q) for q in Q.vertices], dtype=np.int64)
     # backward: dims of the inverse translate tau^{-1}, Phi = -C^{-T} C
     # forward: dims of tau itself, the matrix inverse of Phi
-    phi_b = -(Cinv.T @ C)
-    phi_f = -(Cinv @ C.T)
+    # as lists of plain ints, so the walk never overflows
+    phi_b = (-(Cinv.T @ C)).tolist()
+    phi_f = (-(Cinv @ C.T)).tolist()
     _COXETER_CACHE[Q] = (phi_b, phi_f)
     return phi_b, phi_f
 
@@ -169,14 +176,14 @@ def coxeter_translate(Q: Quiver, d: Sequence[int], direction: str) -> tuple[int,
         raise ValueError(f"direction must be 'backward' or 'forward', got {direction!r}")
     dv = _as_dimvec(Q, d)
     phi_b, phi_f = _coxeter_matrices(Q)
-    out = (phi_b if direction == "backward" else phi_f) @ dv
-    if (out < 0).any():
+    phi = phi_b if direction == "backward" else phi_f
+    out = tuple(sum(m * x for m, x in zip(row, dv)) for row in phi)
+    if any(x < 0 for x in out):
         kind = "injective" if direction == "backward" else "projective"
         raise ValueError(
-            f"translate of {tuple(int(x) for x in dv)} left the nonnegative orthant "
-            f"({tuple(int(x) for x in out)}); the module is {kind}"
+            f"translate of {dv} left the nonnegative orthant ({out}); the module is {kind}"
         )
-    return tuple(int(x) for x in out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +402,19 @@ def generic_module(
         raise ValueError(f"field characteristic must be prime, got {p}")
     form = euler_form(Q, dv, dv)
     if form != 1:
-        raise ValueError(f"<d,d> = {form} != 1: {tuple(int(x) for x in dv)} is not a real Schur root")
+        raise ValueError(f"<d,d> = {form} != 1: {dv} is not a real Schur root")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, p]))
     idx = Q.arrow_indices()
     for _ in range(trials):
         maps = tuple(
-            rng.integers(0, p, size=(int(dv[t]), int(dv[s])), dtype=np.int64)
-            for s, t in idx
+            rng.integers(0, p, size=(dv[t], dv[s]), dtype=np.int64) for s, t in idx
         )
-        M = Representation(Q, p, tuple(int(x) for x in dv), maps)
+        M = Representation(Q, p, dv, maps)
         if hom_dimension(M, M) == 1:
             return M
-    raise NotRigid(
-        f"no rigid sample at dims {tuple(int(x) for x in dv)} over F_{p} in {trials} trials"
-    )
+    raise NotRigid(f"no rigid sample at dims {dv} over F_{p} in {trials} trials")
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +629,12 @@ def _lagrange_eval(points: list[tuple[int, int]], x) -> Fraction:
 
 _CHI_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
 
+# generic modules are resolved only up to this total dimension; chi counts
+# subspace tuples at the sources of the module or at the sinks of its dual,
+# whichever side has fewer, over up to sum(d_i^2 // 4) + 2 primes, and that
+# count leaves desk scale beyond it
+GENERIC_DIM_BUDGET = 12
+
 # primes to try for point counting; generic sampling may reject some
 _PRIME_POOL_SIZE = 40
 
@@ -637,13 +647,18 @@ def chi_table(spec: ModuleSpec, seed: int = 0) -> dict[tuple[int, ...], int]:
     the counting polynomials.  For each e it interpolates through the
     first deg_e + 1 counts, verifies the prediction at the next, held-out
     prime (NotPolynomial on mismatch), and evaluates at q = 1 (NotIntegral
-    if that is not an integer).  Results are cached per (spec, seed).
+    if that is not an integer).  Results are cached per (spec, seed).  A
+    generic module over GENERIC_DIM_BUDGET raises BudgetExceeded first.
     """
     key = (spec, seed)
     got = _CHI_CACHE.get(key)
     if got is not None:
         return got
     d = spec.dimension_vector
+    if spec.kind == "generic" and sum(d) > GENERIC_DIM_BUDGET:
+        raise BudgetExceeded(
+            f"dimension total {sum(d)} exceeds the enumeration budget {GENERIC_DIM_BUDGET}"
+        )
     all_e = list(itertools.product(*[range(x + 1) for x in d]))
     needed = sum((x * x) // 4 for x in d) + 2
     collected: list[tuple[int, dict[tuple[int, ...], int]]] = []

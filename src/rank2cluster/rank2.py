@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from . import _packed
 from .laurent import LaurentPolynomial, NotDivisible, VariableContext
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 
@@ -70,9 +71,11 @@ def cluster_variable(t: ExchangeType, k: int) -> LaurentPolynomial:
     """The element x_k written in the initial cluster (x_1, x_2).
 
     Iterates the recurrence up from the seed, dividing exactly at every
-    step; NotDivisible propagating out of here means an implementation
-    bug, since exactness is guaranteed for the pattern.  An index k <= 0
-    is the mirror image of x_{3-k} of type (c, b) with x1 and x2 swapped.
+    step: each step runs as one certified packed kernel, and as the sparse
+    power, sum and long division when the kernel declines.  NotDivisible
+    propagating out of here means an implementation bug, since exactness
+    is guaranteed for the pattern.  An index k <= 0 is the mirror image
+    of x_{3-k} of type (c, b) with x1 and x2 swapped.
     """
     mirrored = k <= 0
     if mirrored:
@@ -84,7 +87,12 @@ def cluster_variable(t: ExchangeType, k: int) -> LaurentPolynomial:
         for j in range(2, k):
             nxt = _CACHE.get((t.b, t.c, j + 1))
             if nxt is None:
-                nxt = (cur ** _step_exponent(t, j) + 1).exact_div(prev)
+                e = _step_exponent(t, j)
+                quot = _packed.positive_exact_div(cur._terms, prev._terms, e)
+                if quot is None:
+                    nxt = (cur ** e + 1).exact_div(prev)
+                else:
+                    nxt = LaurentPolynomial._raw(X_CONTEXT, quot)
                 _maybe_cache((t.b, t.c, j + 1), nxt)
             prev, cur = cur, nxt
     return cur.permute_variables({"x1": "x2", "x2": "x1"}) if mirrored else cur

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from rank2cluster import ccmap
 from rank2cluster.ccmap import (
     GENERIC_DIM_BUDGET,
     BudgetExceeded,
@@ -15,7 +18,7 @@ from rank2cluster.ccmap import (
 )
 from rank2cluster.laurent import LaurentPolynomial
 from rank2cluster.quiver import ModuleSpec, kronecker_quiver
-from rank2cluster.rank2 import ExchangeType, cluster_variable
+from rank2cluster.rank2 import ExchangeType, _tropical_denominator, cluster_variable
 from rank2cluster.report import INCONCLUSIVE, PASS
 
 K23 = kronecker_quiver(2, 3)
@@ -95,6 +98,19 @@ def test_index_dictionary_translates():
     # one inverse Coxeter step from dim P_{v1} = (1,0,1,1,1)
     assert far.dims == (2, 3, 4, 4, 4)
     assert far.translate == 1
+
+
+@pytest.mark.parametrize("b,c", [(2, 3), (3, 2), (1, 5), (3, 3), (4, 4)])
+def test_module_dims_follow_the_tropical_denominators(b, c):
+    # the folded character of a module M has denominator
+    # x1^(sum of v-dims) x2^(sum of w-dims), so the Coxeter walk must agree
+    # with the d-vector recurrence; far out the dims outgrow int64
+    t = ExchangeType(b, c)
+    for k in range(-200, 201):
+        obj = object_for_index(b, c, k)
+        if obj.kind != "shifted":
+            law = (sum(obj.dims[:b]), sum(obj.dims[b:]))
+            assert law == _tropical_denominator(t, k), k
 
 
 def test_index_dictionary_wraps_in_finite_type():
@@ -238,6 +254,16 @@ def test_verify_folding_budget_is_inconclusive():
     assert report.items[0].status == INCONCLUSIVE
     assert "BudgetExceeded" in report.items[0].detail
     assert report.exit_code() == 3
+
+
+def test_verify_folding_resolves_the_object_before_the_recurrence():
+    # (2,3) x_11's object has dims total 433: the cell is inconclusive
+    # without paying for the recurrence value
+    with mock.patch.object(ccmap, "cluster_variable") as spy:
+        report = verify_folding(2, 3, 11)
+    assert report.items[0].status == INCONCLUSIVE
+    assert "BudgetExceeded" in report.items[0].detail
+    spy.assert_not_called()
 
 
 def test_exchange_triangles_from_worked_example():

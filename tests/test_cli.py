@@ -123,6 +123,24 @@ def test_budget_exceeded_is_inconclusive(capsys):
     assert "inconclusive: BudgetExceeded" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # objects far along the Coxeter walk, whose dims outgrow int64
+        ("ccmap", "--b", "2", "--c", "3", "--k", "80"),
+        ("ccmap", "--b", "2", "--c", "3", "--k", "-80"),
+        ("exchange", "--b", "2", "--c", "3", "--class", "v", "--s", "40"),
+        # a generic module over the budget, asked for one Euler characteristic
+        ("euler", "--b", "2", "--c", "3", "--module", "generic",
+         "--dim", "2,3,4,4,4", "--sub", "0,0,0,0,0"),
+    ],
+)
+def test_far_and_large_modules_are_inconclusive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "BudgetExceeded" in out + err
+
+
 def test_semantic_usage_error(capsys):
     code, _, err = run(capsys, "var", "--b", "0", "--c", "3", "--k", "1")
     assert code == 2

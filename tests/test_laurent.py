@@ -406,8 +406,9 @@ def test_permute_is_involutive_automorphism(p):
     assert p.permute_variables(swap).permute_variables(swap) == p
 
 
-# the packed kernels below are gated behind size thresholds in normal use,
-# so exercise them directly on small inputs here
+# The exchange-step kernel _packed.positive_exact_div(base, den, e) returns
+# (base**e + 1) / den or None; rank2 calls it on every computed step, and
+# here it runs directly on small inputs.
 
 @st.composite
 def positive_term_dicts(draw, max_terms=5):
@@ -424,6 +425,20 @@ def _convolve(a, b):
     return out
 
 
+def _step_numerator(base, e):
+    """base**e + 1 by repeated sparse convolution."""
+    out = {(0, 0): 1}
+    for _ in range(e):
+        out = _convolve(out, base)
+    out[0, 0] = out.get((0, 0), 0) + 1
+    return out
+
+
+def _monomial_quotient(num, mono):
+    (m, c), = mono.items()
+    return {(x[0] - m[0], x[1] - m[1]): v // c for x, v in num.items()}
+
+
 # coefficients of 18-20 and 37-39 digits put slot edges on both sides of
 # libmpdec's 19-digit words
 wide_coefficients = (st.integers(18, 20) | st.integers(37, 39)).flatmap(
@@ -437,103 +452,103 @@ def wide_term_dicts(draw, max_terms=5):
     return {draw(exps): draw(wide_coefficients) for _ in range(n)}
 
 
-@given(positive_term_dicts(), positive_term_dicts())
+@given(positive_term_dicts(), positive_term_dicts(), st.integers(2, 50))
 @settings(max_examples=200)
-def test_packed_mul_matches_convolution(a, b):
-    got = _packed.positive_mul(a, b)
-    assert got == _convolve(a, b)
+def test_packed_div_recovers_factor(a, b, lift):
+    # base = a*b - 1 is positive once a*b has a constant term of at least
+    # 2, so (base + 1) / b == a is an exact step with e = 1
+    a, b = {**a, (0, 0): 1}, {**b, (0, 0): lift}
+    base = _convolve(a, b)
+    base[0, 0] -= 1
+    assert _packed.positive_exact_div(base, b, 1) == a
 
 
-@given(positive_term_dicts(), positive_term_dicts())
+@given(positive_term_dicts(), positive_term_dicts(), st.integers(1, 3))
 @settings(max_examples=200)
-def test_packed_div_recovers_factor(a, b):
-    product = _convolve(a, b)
-    got = _packed.positive_exact_div(product, b)
-    # the kernel may decline (None) but must never return a wrong quotient
+def test_packed_div_never_lies(base, den, e):
+    got = _packed.positive_exact_div(base, den, e)
     if got is not None:
-        assert got == a
+        assert _convolve(got, den) == _step_numerator(base, e)
 
 
-@given(positive_term_dicts(), positive_term_dicts())
-@settings(max_examples=200)
-def test_packed_div_never_lies(a, b):
-    got = _packed.positive_exact_div(a, b)
-    if got is not None:
-        assert _convolve(got, b) == a
+@pytest.mark.parametrize(
+    "base,den,e",
+    [
+        # (x1^2/x2 + 1) / ((x2 + 1)/x1) is no Laurent polynomial, but
+        # the packed integers divide exactly: a quotient slot times the
+        # divisor wraps past the box into the numerator's slots
+        ({(2, -1): 1}, {(-1, 1): 1, (-1, 0): 1}, 1),
+        ({(-2, 0): 3, (-2, 2): 2}, {(-1, -2): 1, (-1, 0): 1}, 2),
+    ],
+)
+def test_packed_div_certifies_the_quotient_support(base, den, e):
+    assert _packed.positive_exact_div(base, den, e) is None
+    with pytest.raises(NotDivisible):
+        LaurentPolynomial(X, _step_numerator(base, e)).exact_div(LaurentPolynomial(X, den))
 
 
-def test_packed_paths_hit_through_public_api():
-    # (sum x1^i x2^j) over a 45x45 box crosses the mul gate against a
-    # 15-term factor, and the product crosses the division gate
-    big = LaurentPolynomial(X, {(i, j): 1 for i in range(45) for j in range(45)})
-    small = LaurentPolynomial(X, {(i, 2 * i): i + 1 for i in range(15)})
-    expected = LaurentPolynomial._raw(X, _convolve(dict(big.terms), dict(small.terms)))
-    product = big * small
-    assert product == expected
-    assert product.exact_div(small) == big
-    assert product.exact_div(big) == small
+# the sparse step (x_k**e + 1).exact_div(x_{k-1}) is quadratic: (3,4) x_8
+# alone takes about 96 s and (4,4) x_7 14 s, so larger types stop earlier
+@pytest.mark.parametrize("b,c", [(b, c) for b in range(1, 5) for c in range(1, 5)])
+def test_packed_step_matches_sparse_step(b, c):
+    last = 8 if b * c <= 6 else 7 if b * c <= 9 else 6
+    prev, cur = x1(), x2()
+    for j in range(2, last):
+        e = b if j % 2 else c
+        got = _packed.positive_exact_div(dict(cur.terms), dict(prev.terms), e)
+        prev, cur = cur, (cur**e + 1).exact_div(prev)
+        assert got == dict(cur.terms), (b, c, j + 1)
 
 
 def test_packed_div_failure_falls_back_to_certificate():
+    # exact_div is the sparse reference: on a large operand too, its first
+    # stuck leading term certifies that no quotient exists
     big = LaurentPolynomial(X, {(i, j): 1 for i in range(30) for j in range(30)})
     bad = big * x1() + 1
     with pytest.raises(NotDivisible):
         bad.exact_div(big)
 
 
-@pytest.mark.parametrize("kernel", [_packed.positive_mul, _packed.positive_exact_div])
+@pytest.mark.parametrize("kernel", [_packed.positive_exact_div])
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("bad", [0, -1])
 def test_packed_kernels_decline_non_positive_coefficients(kernel, side, bad):
-    # the carry bound only holds for positive terms: with a -1 the product
-    # {(0,0): -1, (1,0): 2} * {(0,0): 1, (1,0): 1} would pack to a wrong answer
-    a, b = {(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (1, 0): 1}
-    operands = [a, b] if kernel is _packed.positive_mul else [_convolve(a, b), b]
+    # the carry bound only holds for positive terms: with a -1 the digits
+    # of a packed power or quotient no longer read back as coefficients
+    operands = [{(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (1, 0): 1}]
     operands[side] = {**operands[side], (0, 0): bad}
-    assert kernel(*operands) is None
+    for e in (1, 2):
+        assert kernel(*operands, e) is None
 
 
-def test_non_positive_operands_take_the_sparse_paths():
-    # above both size gates, one negative coefficient makes both kernels
-    # decline, and the sparse product and long division answer
-    terms = {(i, j): 1 for i in range(45) for j in range(45)}
-    terms[3, 4] = -1
-    big = LaurentPolynomial(X, terms)
-    small = LaurentPolynomial(X, {(i, 2 * i): i + 1 for i in range(15)})
-    answers = []
-
-    def spy(kernel):
-        def wrapper(*args):
-            answers.append(kernel(*args))
-            return answers[-1]
-        return wrapper
-
-    with mock.patch.object(_packed, "positive_mul", spy(_packed.positive_mul)), \
-            mock.patch.object(_packed, "positive_exact_div", spy(_packed.positive_exact_div)):
-        product = big * small
-        assert product == LaurentPolynomial._raw(X, _convolve(terms, dict(small.terms)))
-        assert product.exact_div(small) == big
-    assert answers == [None, None]
-
-
-@given(wide_term_dicts(), wide_term_dicts(), st.sampled_from([None, 1]))
+@given(
+    wide_term_dicts(),
+    exps,
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from([None, 1]),
+)
 @settings(max_examples=200)
-def test_packed_kernels_across_word_boundaries(a, b, min_block):
+def test_packed_kernels_across_word_boundaries(base, corner, e, by_monomial, min_block):
     # min_block=1 lets the long division run in blocks as short as the
     # divisor, so small inputs take the multi-block path too
-    product = _convolve(a, b)
+    num = _step_numerator(base, e)
+    if by_monomial:
+        den, quot = {corner: 1}, _monomial_quotient(num, {corner: 1})
+    else:
+        den, quot = num, {(0, 0): 1}
     with mock.patch.object(
         _packed, "_MIN_BLOCK_DIGITS", min_block or _packed._MIN_BLOCK_DIGITS
     ):
-        assert _packed.positive_mul(a, b) == product
-        assert _packed.positive_exact_div(product, b) == a
+        assert _packed.positive_exact_div(base, den, e) == quot
 
 
 # int parses and prints the same digit strings as gmpy2's mpz, so with
-# _NUM patched to int the kernels run the gmpy2 arm's code path.  Unlike
+# _NUM patched to int the kernel runs the gmpy2 arm's code path.  Unlike
 # mpz, int applies sys.get_int_max_str_digits() to a whole packed string.
-# A 3x3 exponent box and coefficients of at most 39 digits keep every
-# string under 3100 digits, below the default limit of 4300.
+# A 3x3 exponent box for the base, e <= 2, and coefficients of at most 39
+# digits keep every string under 4000 digits (at most 25 numerator slots of
+# at most 159 digits), below the default limit of 4300.
 @st.composite
 def int_arm_term_dicts(draw, max_terms=5):
     n = draw(st.integers(1, max_terms))
@@ -544,45 +559,46 @@ def int_arm_term_dicts(draw, max_terms=5):
 
 @given(
     int_arm_term_dicts(),
-    int_arm_term_dicts(),
+    positive_term_dicts(max_terms=1),
+    st.integers(1, 2),
     st.sampled_from([1, 1024, _packed._MIN_BLOCK_DIGITS]),
 )
 @settings(max_examples=200)
-def test_packed_kernels_on_the_gmpy2_arm(a, b, min_block):
-    product = _convolve(a, b)
+def test_packed_kernels_on_the_gmpy2_arm(base, mono, e, min_block):
+    num = _step_numerator(base, e)
+    mono = {corner: 1 for corner in mono}
     with mock.patch.object(_packed, "_NUM", int), mock.patch.object(
         _packed, "_MIN_BLOCK_DIGITS", min_block
     ):
-        assert _packed.positive_mul(a, b) == product
-        assert _packed.positive_exact_div(product, b) == a
+        assert _packed.positive_exact_div(base, mono, e) == _monomial_quotient(num, mono)
+        assert _packed.positive_exact_div(base, num, e) == {(0, 0): 1}
 
 
 def test_packed_kernels_ignore_caller_decimal_context():
-    a = {(i, j): 10**30 + 7 * i + j for i in range(6) for j in range(5)}
-    b = {(i, 2 * i): 10**25 + i for i in range(4)}
-    product = _convolve(a, b)
+    base = {(i, j): 10**30 + 7 * i + j for i in range(6) for j in range(5)}
+    num = _step_numerator(base, 2)
     with decimal.localcontext() as ctx:
         ctx.prec = 5
         ctx.traps[decimal.Inexact] = True
         ctx.clear_flags()
         before = repr(ctx)
-        assert _packed.positive_mul(a, b) == product
-        assert _packed.positive_exact_div(product, b) == a
+        assert _packed.positive_exact_div(base, num, 2) == {(0, 0): 1}
+        assert _packed.positive_exact_div(base, {(1, 1): 1}, 2) == _monomial_quotient(
+            num, {(1, 1): 1}
+        )
         assert decimal.getcontext() is ctx
         assert repr(ctx) == before
 
 
 def test_coefficients_past_int_str_limit():
     # a 5001-digit coefficient is past the default int/str conversion
-    # limit (4300 digits), so its slot cannot be written as digits: both
-    # kernels must decline and the sparse paths answer
+    # limit (4300 digits), so its slot cannot be written as digits: the
+    # kernel must decline and the sparse step answers
     terms = {(i, j): i + j + 1 for i in range(30) for j in range(30)}
     terms[7, 7] = 10**5000 + 7
-    big = LaurentPolynomial(X, terms)
-    small = LaurentPolynomial(X, {(i, 2 * i): i + 1 for i in range(25)})
-    expected = LaurentPolynomial._raw(X, _convolve(dict(big.terms), dict(small.terms)))
-    assert _packed.positive_mul(dict(big.terms), dict(small.terms)) is None
-    product = big * small
-    assert product == expected
-    assert _packed.positive_exact_div(dict(product.terms), dict(small.terms)) is None
-    assert product.exact_div(small) == big
+    small = {(i, 2 * i): i + 1 for i in range(25)}
+    base = _convolve(terms, small)
+    base[0, 0] -= 1
+    assert _packed.positive_exact_div(base, small, 1) is None
+    numerator = LaurentPolynomial(X, base) + 1
+    assert numerator.exact_div(LaurentPolynomial(X, small)) == LaurentPolynomial(X, terms)

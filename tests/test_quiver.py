@@ -210,7 +210,7 @@ def test_path_count_inverts_euler_matrix(Q):
     # rows of C^{-1} are projective dimension vectors, columns injective ones
     assert (euler_matrix(Q) @ _path_count(Q) == np.eye(Q.n, dtype=np.int64)).all()
     phi_b, phi_f = _coxeter_matrices(Q)
-    assert (phi_b @ phi_f == np.eye(Q.n, dtype=np.int64)).all()
+    assert (np.array(phi_b) @ np.array(phi_f) == np.eye(Q.n, dtype=np.int64)).all()
 
 
 def test_projective_module_maps():

@@ -175,17 +175,17 @@ def test_reflection_matches_backward_recurrence():
 
 
 def test_large_wild_step_matches_modular_recurrence():
-    # (3,2) x_10 ends in a packed division of a 9740-term numerator with
-    # 83-digit slots (several libmpdec words each) by a divisor long
-    # enough for Newton division, in several blocks; the kernel must answer
-    # every division, not decline to the sparse fallback
+    # (3,2) x_10 ends in a packed step whose 9740-term numerator has
+    # 86-digit slots (several libmpdec words each), divided by a divisor
+    # long enough for Newton division, in several blocks; the kernel must
+    # answer every step, not decline to the sparse fallback
     p = 2**61 - 1
     point = (123456789, 987654321)
     t = ExchangeType(3, 2)
     answered = []
 
-    def packed_div(num, den, kernel=_packed.positive_exact_div):
-        quot = kernel(num, den)
+    def packed_div(base, den, e, kernel=_packed.positive_exact_div):
+        quot = kernel(base, den, e)
         answered.append(quot is not None)
         return quot
 
@@ -203,6 +203,16 @@ def test_large_wild_step_matches_modular_recurrence():
         e = t.b if j % 2 else t.c
         prev, cur = cur, (pow(cur, e, p) + 1) * pow(prev, -1, p) % p
     assert value == cur
+
+
+def test_declined_steps_take_the_sparse_step():
+    clear_cache()
+    packed = [cluster_variable(T23, k) for k in range(-4, 9)]
+    clear_cache()
+    with mock.patch.object(_packed, "positive_exact_div", lambda base, den, e: None):
+        sparse = [cluster_variable(T23, k) for k in range(-4, 9)]
+    clear_cache()
+    assert sparse == packed
 
 
 def test_memo_holds_forward_steps_only():
