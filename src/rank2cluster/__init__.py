@@ -37,7 +37,6 @@ from .quiver import (
     euler_characteristic,
     euler_form,
     euler_matrix,
-    exchange_matrix,
     gaussian_binomial,
     generic_module,
     hom_dimension,
@@ -100,7 +99,6 @@ __all__ = [
     "euler_characteristic",
     "euler_form",
     "euler_matrix",
-    "exchange_matrix",
     "expand_in_cluster",
     "fold",
     "g_equivariance_check",

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .laurent import LaurentPolynomial, VariableContext
 from .quiver import (  # GENERIC_DIM_BUDGET is re-exported for callers
     GENERIC_DIM_BUDGET,
@@ -193,14 +191,15 @@ def object_for_index(b: int, c: int, k: int) -> CCObject:
 def cc_from_spec(Q: Quiver, spec: ModuleSpec, seed: int = 0) -> LaurentPolynomial:
     """Character of the module described by spec, over the u-variables of Q."""
     table = chi_table(spec, seed=seed)
-    d = np.asarray(spec.dimension_vector, dtype=np.int64)
+    d = spec.dimension_vector
     C = euler_matrix(Q)
+    r = range(Q.n)
     terms: dict[tuple[int, ...], int] = {}
     for e, chi in table.items():
         if chi == 0:
             continue
-        ev = np.asarray(e, dtype=np.int64)
-        exponents = tuple(int(x) for x in -(C.T @ ev) - C @ (d - ev))
+        # -(C^T e) - C (d - e)
+        exponents = tuple(-sum(C[k][i] * e[k] + C[i][k] * (d[k] - e[k]) for k in r) for i in r)
         terms[exponents] = terms.get(exponents, 0) + chi
     return LaurentPolynomial(_u_variables(Q), terms)
 

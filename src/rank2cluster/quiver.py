@@ -2,7 +2,7 @@
 
 K_{b,c} has sources v_1..v_b, sinks w_1..w_c, and exactly one arrow from
 every source to every sink.  Modules are realized as explicit matrices
-over a prime field.  Submodule Grassmannians Gr_e(M) are counted for every
+of int rows over F_p.  Submodule Grassmannians Gr_e(M) are counted for every
 e at once: subspace tuples are enumerated at the non-sink vertices only,
 and each sink w, whose subspace need only contain the rank-r_w span of
 the images landing in it, contributes the Gaussian binomial
@@ -27,11 +27,11 @@ to K_{b,c} except the constructor.
 from __future__ import annotations
 
 import itertools
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 class NotRigid(RuntimeError):
@@ -107,20 +107,11 @@ def kronecker_quiver(b: int, c: int) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def exchange_matrix(Q: Quiver) -> np.ndarray:
-    """Skew-symmetric matrix b_ij = #(arrows i->j) - #(arrows j->i)."""
-    B = np.zeros((Q.n, Q.n), dtype=np.int64)
-    for s, t in Q.arrow_indices():
-        B[s, t] += 1
-        B[t, s] -= 1
-    return B
-
-
-def euler_matrix(Q: Quiver) -> np.ndarray:
+def euler_matrix(Q: Quiver) -> list[list[int]]:
     """C with C_ij = delta_ij - #(arrows i->j); the Euler form is d^T C e."""
-    C = np.eye(Q.n, dtype=np.int64)
+    C = [[int(i == j) for j in range(Q.n)] for i in range(Q.n)]
     for s, t in Q.arrow_indices():
-        C[s, t] -= 1
+        C[s][t] -= 1
     return C
 
 
@@ -152,14 +143,15 @@ def _coxeter_matrices(Q: Quiver) -> tuple[list[list[int]], list[list[int]]]:
     if got is not None:
         return got
     C = euler_matrix(Q)
-    # C = I - A with A nilpotent (Q is acyclic), so C^{-1} = I + A + A^2 + ...
-    # is the path count, whose rows are the projective dimension vectors
-    Cinv = np.array([projective_dimension_vector(Q, q) for q in Q.vertices], dtype=np.int64)
-    # backward: dims of the inverse translate tau^{-1}, Phi = -C^{-T} C
-    # forward: dims of tau itself, the matrix inverse of Phi
-    # as lists of plain ints, so the walk never overflows
-    phi_b = (-(Cinv.T @ C)).tolist()
-    phi_f = (-(Cinv @ C.T)).tolist()
+    # C = I - A with A nilpotent (Q is acyclic), so N = C^{-1} = I + A + A^2
+    # + ... is the path count, whose rows are the projective dimension vectors
+    N = [projective_dimension_vector(Q, q) for q in Q.vertices]
+    r = range(Q.n)
+    # backward: dims of the inverse translate tau^{-1}, Phi = -N^T C
+    # forward: dims of tau itself, the matrix inverse of Phi, -N C^T
+    # in plain ints, so the walk never overflows
+    phi_b = [[-sum(N[k][i] * C[k][j] for k in r) for j in r] for i in r]
+    phi_f = [[-sum(N[i][k] * C[j][k] for k in r) for j in r] for i in r]
     _COXETER_CACHE[Q] = (phi_b, phi_f)
     return phi_b, phi_f
 
@@ -212,12 +204,15 @@ def _first_primes(count: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Matrices over F_p realizing a module: maps[a] has shape (dim t, dim s)."""
+    """Matrices over F_p realizing a module: for the arrow a: s -> t, maps[a]
+    is dim t tuples of dim s ints in [0, p), read with operator.index (no
+    floats) and reduced mod p.  A map out of a zero space has empty rows.
+    """
 
     quiver: Quiver
     p: int
     dims: tuple[int, ...]
-    maps: tuple[np.ndarray, ...]
+    maps: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -231,13 +226,12 @@ class Representation:
             raise ValueError("one matrix per arrow required")
         frozen = []
         for a, (s, t) in enumerate(idx):
-            m = np.asarray(self.maps[a], dtype=np.int64) % self.p
-            if m.shape != (dims[t], dims[s]):
+            m = tuple(tuple(operator.index(x) % self.p for x in row) for row in self.maps[a])
+            if len(m) != dims[t] or any(len(row) != dims[s] for row in m):
                 raise ValueError(
-                    f"arrow {self.quiver.arrows[a]} matrix has shape {m.shape}, "
-                    f"expected {(dims[t], dims[s])}"
+                    f"arrow {self.quiver.arrows[a]} matrix has rows of lengths "
+                    f"{[len(row) for row in m]}, expected {dims[t]} rows of {dims[s]}"
                 )
-            m.flags.writeable = False
             frozen.append(m)
         object.__setattr__(self, "maps", tuple(frozen))
 
@@ -271,7 +265,12 @@ def _opposite(Q: Quiver) -> Quiver:
 
 def _dual(M: Representation) -> Representation:
     """DM = Hom(M, F_p) over the opposite quiver: same dims, transposed maps."""
-    return Representation(_opposite(M.quiver), M.p, M.dims, tuple(m.T for m in M.maps))
+    # transposed column by column: zip(*m) would lose the columns of a 0-row m
+    maps = tuple(
+        tuple(tuple(row[j] for row in m) for j in range(M.dims[s]))
+        for m, (s, _) in zip(M.maps, M.quiver.arrow_indices())
+    )
+    return Representation(_opposite(M.quiver), M.p, M.dims, maps)
 
 
 def projective_dimension_vector(Q: Quiver, vertex: str) -> tuple[int, ...]:
@@ -289,9 +288,9 @@ def projective_module(Q: Quiver, vertex: str, p: int) -> Representation:
     idx = Q.arrow_indices()
     maps = []
     for a, (s, t) in enumerate(idx):
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
+        m = [[0] * dims[s] for _ in range(dims[t])]
         for col, path in enumerate(basis[s]):
-            m[basis[t].index(path + (a,)), col] = 1
+            m[basis[t].index(path + (a,))][col] = 1
         maps.append(m)
     return Representation(Q, p, dims, tuple(maps))
 
@@ -308,9 +307,7 @@ def injective_module(Q: Quiver, vertex: str, p: int) -> Representation:
 def simple_module(Q: Quiver, vertex: str, p: int) -> Representation:
     i = Q.index(vertex)
     dims = tuple(int(j == i) for j in range(Q.n))
-    maps = tuple(
-        np.zeros((dims[t], dims[s]), dtype=np.int64) for s, t in Q.arrow_indices()
-    )
+    maps = tuple(((0,) * dims[s],) * dims[t] for s, t in Q.arrow_indices())
     return Representation(Q, p, dims, maps)
 
 
@@ -320,9 +317,8 @@ def direct_sum(M: Representation, N: Representation) -> Representation:
     dims = tuple(a + b for a, b in zip(M.dims, N.dims))
     maps = []
     for a, (s, t) in enumerate(M.quiver.arrow_indices()):
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-        m[: M.dims[t], : M.dims[s]] = M.maps[a]
-        m[M.dims[t]:, M.dims[s]:] = N.maps[a]
+        m = [row + (0,) * N.dims[s] for row in M.maps[a]]
+        m += [(0,) * M.dims[s] + row for row in N.maps[a]]
         maps.append(m)
     return Representation(M.quiver, M.p, dims, tuple(maps))
 
@@ -330,22 +326,23 @@ def direct_sum(M: Representation, N: Representation) -> Representation:
 # ---------------------------------------------------------------------------
 # linear algebra over F_p
 
-def _rank_mod_p(rows: np.ndarray, p: int) -> int:
-    if rows.size == 0:
-        return 0
-    mat = rows % p
-    m, n = mat.shape
+def _rank_mod_p(rows: list[Sequence[int]], p: int) -> int:
+    """Rank over F_p of the matrix with these int rows; works on a copy."""
+    mat = [[x % p for x in row] for row in rows]
+    m = len(mat)
     rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if mat[r, col]), None)
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, m) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        nz = [r for r in range(m) if r != rank and mat[r, col]]
-        for r in nz:
-            mat[r] = (mat[r] - mat[r, col] * mat[rank]) % p
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        top = mat[rank] = [x * inv % p for x in mat[rank]]
+        # the rank needs only the rows below the pivot cleared
+        for r in range(rank + 1, m):
+            f = mat[r][col]
+            if f:
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], top)]
         rank += 1
         if rank == m:
             break
@@ -362,25 +359,20 @@ def hom_dimension(M: Representation, N: Representation) -> int:
     for i in range(M.quiver.n):
         offsets.append(total)
         total += N.dims[i] * M.dims[i]
-    if total == 0:
-        return 0
     rows = []
     for a, (s, t) in enumerate(M.quiver.arrow_indices()):
         Ma, Na = M.maps[a], N.maps[a]
         for r in range(N.dims[t]):
             for cs in range(M.dims[s]):
-                row = np.zeros(total, dtype=np.int64)
+                row = [0] * total
                 # (f_t @ M(a))[r, cs] term
                 for c in range(M.dims[t]):
-                    row[offsets[t] + r * M.dims[t] + c] += Ma[c, cs]
+                    row[offsets[t] + r * M.dims[t] + c] += Ma[c][cs]
                 # -(N(a) @ f_s)[r, cs] term
                 for rr in range(N.dims[s]):
-                    row[offsets[s] + rr * M.dims[s] + cs] -= Na[r, rr]
+                    row[offsets[s] + rr * M.dims[s] + cs] -= Na[r][rr]
                 rows.append(row)
-    if not rows:
-        return total
-    rank = _rank_mod_p(np.array(rows), p)
-    return total - rank
+    return total - _rank_mod_p(rows, p)
 
 
 def generic_module(
@@ -405,11 +397,12 @@ def generic_module(
         raise ValueError(f"<d,d> = {form} != 1: {dv} is not a real Schur root")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, p]))
+    # a str seed is hashed deterministically, for any int seed
+    rng = random.Random(f"{seed}:{p}")
     idx = Q.arrow_indices()
     for _ in range(trials):
         maps = tuple(
-            rng.integers(0, p, size=(dv[t], dv[s]), dtype=np.int64) for s, t in idx
+            [[rng.randrange(p) for _ in range(dv[s])] for _ in range(dv[t])] for s, t in idx
         )
         M = Representation(Q, p, dv, maps)
         if hom_dimension(M, M) == 1:
@@ -440,7 +433,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return value
 
 
-def _subspaces(p: int, d: int) -> list[np.ndarray]:
+def _subspaces(p: int, d: int) -> list[list[list[int]]]:
     """Every subspace of F_p^d, of every dimension, as its RREF basis rows."""
     out = []
     for k in range(d + 1):
@@ -452,11 +445,11 @@ def _subspaces(p: int, d: int) -> list[np.ndarray]:
                 if c not in pivots
             ]
             for values in itertools.product(range(p), repeat=len(free)):
-                basis = np.zeros((k, d), dtype=np.int64)
+                basis = [[0] * d for _ in range(k)]
                 for r, c in zip(range(k), pivots):
-                    basis[r, c] = 1
+                    basis[r][c] = 1
                 for (r, c), val in zip(free, values):
-                    basis[r, c] = val
+                    basis[r][c] = val
                 out.append(basis)
     return out
 
@@ -485,22 +478,27 @@ def _one_sided_counts(M: Representation) -> dict[tuple[int, ...], int]:
     sinks = [w for w in range(Q.n) if w not in slot]
     subs = [_subspaces(p, d[v]) for v in non_sinks]
     # images[a][i]: rows spanning M_a U, for U the i-th subspace at a's source
-    images = [[(U @ M.maps[a].T) % p for U in subs[slot[s]]] for a, (s, _) in enumerate(idx)]
+    images = [
+        [
+            [[sum(x * y for x, y in zip(m, u)) % p for m in M.maps[a]] for u in U]
+            for U in subs[slot[s]]
+        ]
+        for a, (s, _) in enumerate(idx)
+    ]
     internal = [(a, slot[s], slot[t]) for a, (s, t) in enumerate(idx) if t in slot]
     landing = [[(a, slot[s]) for a, (s, t) in enumerate(idx) if t == w] for w in sinks]
     histogram: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for choice in itertools.product(*(range(len(s)) for s in subs)):
         if not all(
-            _rank_mod_p(np.vstack((subs[t][choice[t]], images[a][choice[s]])), p)
-            == subs[t][choice[t]].shape[0]
+            _rank_mod_p(subs[t][choice[t]] + images[a][choice[s]], p)
+            == len(subs[t][choice[t]])
             for a, s, t in internal
         ):
             continue
         key = (
-            tuple(subs[i][c].shape[0] for i, c in enumerate(choice)),
+            tuple(len(subs[i][c]) for i, c in enumerate(choice)),
             tuple(
-                _rank_mod_p(np.vstack([images[a][choice[s]] for a, s in arrows]), p)
-                if arrows else 0
+                _rank_mod_p([row for a, s in arrows for row in images[a][choice[s]]], p)
                 for arrows in landing
             ),
         )

@@ -322,15 +322,27 @@ def test_seed_flag_overrides_env(capsys, monkeypatch):
     assert seen == [1, 0]
 
 
-def test_module_entry_point():
+def _run_child(*args):
     # the child imports the same package as this process, installed or not
     src = str(Path(rank2cluster.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rank2cluster", "period", "--b", "1", "--c", "3", "--max", "10"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _run_child("-m", "rank2cluster", "period", "--b", "1", "--c", "3", "--max", "10")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
+
+
+def test_package_imports_without_numpy():
+    # numpy is a test-only dependency: neither the package nor the CLI loads it
+    code = "import sys, rank2cluster, rank2cluster.cli; print('numpy' in sys.modules)"
+    proc = _run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

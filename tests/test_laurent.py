@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import json
 from fractions import Fraction
 from unittest import mock
@@ -469,6 +470,23 @@ def test_packed_div_never_lies(base, den, e):
     got = _packed.positive_exact_div(base, den, e)
     if got is not None:
         assert _convolve(got, den) == _step_numerator(base, e)
+
+
+# every dict of 1-2 coefficient-1 terms in [-1, 1]^2: on these, wrapped
+# quotients that only the support condition rejects turn up, which random
+# draws over wider boxes and larger coefficients almost never hit
+_UNIT_DICTS = [
+    dict.fromkeys(points, 1)
+    for n in (1, 2)
+    for points in itertools.combinations(itertools.product((-1, 0, 1), repeat=2), n)
+]
+
+
+def test_packed_div_never_lies_on_small_unit_grid():
+    for base, den, e in itertools.product(_UNIT_DICTS, _UNIT_DICTS, (1, 2)):
+        got = _packed.positive_exact_div(base, den, e)
+        if got is not None:
+            assert _convolve(got, den) == _step_numerator(base, e), (base, den, e)
 
 
 @pytest.mark.parametrize(
