@@ -10,7 +10,6 @@ everything as subcommands.
 
 from .ccmap import (
     GENERIC_DIM_BUDGET,
-    BudgetExceeded,
     CCObject,
     cc_from_spec,
     cc_polynomial,
@@ -59,7 +58,7 @@ from .rank2 import (
     expand_in_cluster,
     predicted_numerator_terms,
 )
-from .report import FAIL, INCONCLUSIVE, PASS, CheckItem, CheckReport
+from .report import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, CheckItem, CheckReport, Inconclusive
 
 __version__ = "0.1.0"
 
@@ -73,6 +72,7 @@ __all__ = [
     "GENERIC_DIM_BUDGET",
     "GrassmannianCount",
     "INCONCLUSIVE",
+    "Inconclusive",
     "LaurentPolynomial",
     "ModuleSpec",
     "NotDivisible",

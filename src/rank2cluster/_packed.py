@@ -25,21 +25,23 @@ rounding, entered locally so the caller's context is neither read nor
 changed.
 
 The kernel takes term dicts and returns a plain exponent-tuple ->
-coefficient dict, or None when it cannot establish its answer: an operand
+coefficient dict, or None when it cannot prove its answer: an operand
 with a coefficient <= 0, which the carry bound does not cover, a divisor
-off the numerator's lattice or box, a nonzero remainder, a failed
-certificate, or a packing past the memory budget or the interpreter's
-int/str conversion limit.  Callers must treat None as "fall back to the
-sparse step", never as a divisibility verdict.  The quotient is certified
-by its support and a carry bound before it is returned, so an accidental
+off the numerator's lattice or box, a nonzero remainder, or a failed
+certificate.  Callers must treat None as "not proven", never as a
+divisibility verdict; the sparse step decides those cases.  A packing
+past MEMORY_CAP or a slot past the interpreter's int/str conversion limit
+is not a case the sparse step could answer in useful time, so those two
+size guards raise BudgetExceeded instead.  The quotient is certified by
+its support and a carry bound before it is returned, so an accidental
 integer divisibility can never leak through as a wrong polynomial
 quotient.
 
-The slot bookkeeping is plain Python over digit strings: terms become
-(slot, coefficient) pairs written into a digit buffer, and the quotient
-is read back by slicing its decimal string from the right, one slot at a
-time.  The numerator is never written out as digits: the long division
-cuts its blocks off the packed power by powers of ten.
+The slot bookkeeping is plain Python over digit strings: terms are
+written into a digit buffer at their slots, and the quotient is read back
+by slicing its decimal string from the right, one slot at a time.  The
+numerator is never written out as digits: the long division cuts its
+blocks off the packed power by powers of ten.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from __future__ import annotations
 import decimal
 import sys
 from math import gcd
+
+from .report import BudgetExceeded
 
 try:
     from gmpy2 import mpz
@@ -74,7 +78,7 @@ _EXACT = decimal.Context(
 )
 
 # Largest pack buffer we are willing to build, in bytes (one per digit).
-# Operations that would exceed it return None instead of thrashing memory.
+# Steps that would exceed it raise BudgetExceeded instead of thrashing memory.
 MEMORY_CAP = 1_500_000_000
 
 # Floor on the block length of the long division, in digits.  Blocks this
@@ -108,14 +112,14 @@ def _box(terms: dict) -> tuple[list[int], list[int], list[int]]:
     return mins, maxs, gs
 
 
-def _geometry(sizes: list[int], bound: int) -> tuple[int, list[int]] | None:
-    """Slot width and box strides for a box of `sizes` slots, or None.
+def _geometry(sizes: list[int], bound: int) -> tuple[int, list[int]]:
+    """Slot width and box strides for a box of `sizes` slots.
 
     The width is the decimal digit count of `bound`, so 10**width > bound.
     It is sized from the bit length, since str(bound) itself may be past
-    the interpreter's int/str conversion limit.  None when a slot would be
-    past that limit, where the coefficients could not be written or read,
-    or when the packed digits would exceed MEMORY_CAP.
+    the interpreter's int/str conversion limit.  Raises BudgetExceeded
+    when a slot would be past that limit, where the coefficients could not
+    be written or read, or when the packed digits would exceed MEMORY_CAP.
     """
     # 0.30103 > log10(2), so this is at least the digit count of
     # 2**(bit_length-1) <= bound, and at most one below that of bound
@@ -123,47 +127,40 @@ def _geometry(sizes: list[int], bound: int) -> tuple[int, list[int]] | None:
     if 10 ** width <= bound:
         width += 1
     limit = _max_str_digits()
+    if limit and width > limit:
+        raise BudgetExceeded(f"slot width {width} digits is past the int/str limit {limit}")
     strides = []
     total = 1
     for s in reversed(sizes):
         strides.append(total)
         total *= s
-    if limit and width > limit or total * width > MEMORY_CAP:
-        return None
+    if total * width > MEMORY_CAP:
+        raise BudgetExceeded(
+            f"{total} slots of {width} digits is {total * width} digits, "
+            f"past MEMORY_CAP {MEMORY_CAP}"
+        )
     return width, strides[::-1]
 
 
-def _layout(terms: dict, mins, steps, strides) -> list[tuple[int, int]]:
-    """(box slot, coefficient) of every term of `terms`.
-
-    Precondition: every coordinate (e[i]-mins[i])//steps[i] fits inside
-    the box described by `strides`.
-    """
-    return [
-        (sum((e[i] - mins[i]) // steps[i] * s for i, s in enumerate(strides)), c)
-        for e, c in terms.items()
-    ]
-
-
-def _digits(pairs, lo: int, hi: int, width: int) -> str:
-    """Decimal digits of slots lo..hi-1, most significant first.
-
-    `pairs` are the (slot, coefficient) pairs inside [lo, hi); every
-    coefficient has at most `width` digits.
-    """
-    end = (hi - lo) * width
-    buf = bytearray(b"0") * end
-    for slot, c in pairs:
-        digits = str(c).encode("ascii")
-        stop = end - (slot - lo) * width
-        buf[stop - len(digits):stop] = digits
-    return buf.decode("ascii")
+def _slot(exps, mins, steps, strides) -> int:
+    """Box slot of the exponent vector `exps`; slot 0 is at `mins`."""
+    return sum((x - m) // s * t for x, m, s, t in zip(exps, mins, steps, strides))
 
 
 def _pack(terms: dict, mins, steps, strides, width: int):
-    """The packed number of `terms`, with slot 0 least significant."""
-    pairs = _layout(terms, mins, steps, strides)
-    return _NUM(_digits(pairs, 0, max(pairs)[0] + 1, width))
+    """The packed number of `terms`, with slot 0 least significant.
+
+    Precondition: every term lies inside the box described by `strides`,
+    and every coefficient has at most `width` digits.
+    """
+    pairs = [(_slot(e, mins, steps, strides), c) for e, c in terms.items()]
+    end = (max(pairs)[0] + 1) * width
+    buf = bytearray(b"0") * end
+    for slot, c in pairs:
+        digits = str(c).encode("ascii")
+        stop = end - slot * width
+        buf[stop - len(digits):stop] = digits
+    return _NUM(buf.decode("ascii"))
 
 
 def _unpack(value, low: int, out: dict, mins, steps, sizes, width: int) -> None:
@@ -205,11 +202,13 @@ def _split(value, digits: int):
 def positive_exact_div(base: dict, den: dict, e: int) -> dict | None:
     """Certified quotient (base**e + 1) / den of positive term dicts, or None.
 
-    None covers every unproven case: a coefficient <= 0, divisor support
-    not on the numerator lattice, divisor box wider than the numerator
-    box, nonzero integer remainder, failed certificate, memory cap, or a
-    slot past the int/str conversion limit.  When a dict is returned,
-    quotient * den == base**e + 1 holds exactly over Z.
+    None means "not proven" and covers every such case: a coefficient
+    <= 0, divisor support not on the numerator lattice, divisor box wider
+    than the numerator box, nonzero integer remainder, or a failed
+    certificate.  A packing past MEMORY_CAP or a slot past the int/str
+    conversion limit raises BudgetExceeded before anything is packed.
+    When a dict is returned, quotient * den == base**e + 1 holds exactly
+    over Z.
     """
     if min(base.values()) <= 0 or min(den.values()) <= 0:
         return None
@@ -235,26 +234,16 @@ def positive_exact_div(base: dict, den: dict, e: int) -> dict | None:
     # a coefficient of base**e sums at most len(base)**(e-1) products of e
     # coefficients, so this bounds every numerator coefficient
     max_n = len(base) ** (e - 1) * max(base.values()) ** e + 1
-    geometry = _geometry(sizes, len(den) * max_n * max_d)
-    if geometry is None:
-        return None
-    width, strides = geometry
-
-    def slot(exps) -> int:
-        return sum((exps[i] - mins_n[i]) // steps[i] * strides[i] for i in range(n))
-
+    width, strides = _geometry(sizes, len(den) * max_n * max_d)
     mins_q = [mins_n[i] - mins_d[i] for i in range(n)]
     # Long division by blocks of whole slots, from the top, each block at
     # least as long as the divisor.  The quotient of a block fills exactly
     # the block's slots, and the scratch space of a division follows the
     # block length, not the numerator's.
-    block = max(
-        1 + sum((maxs_d[i] - mins_d[i]) // steps[i] * strides[i] for i in range(n)),
-        _MIN_BLOCK_DIGITS // width,
-    )
+    block = max(1 + _slot(maxs_d, mins_d, steps, strides), _MIN_BLOCK_DIGITS // width)
     # base**e starts at the slot of e*mins_b, the constant at the origin's
-    shift = slot([e * m for m in mins_b])
-    one = slot([0] * n)
+    shift = _slot([e * m for m in mins_b], mins_n, steps, strides)
+    one = _slot([0] * n, mins_n, steps, strides)
     hi = sizes[0] * strides[0]
     quot: dict = {}
     rem = 0

@@ -28,11 +28,7 @@ from typing import Mapping
 from .laurent import LaurentPolynomial, VariableContext
 from .quiver import (  # GENERIC_DIM_BUDGET is re-exported for callers
     GENERIC_DIM_BUDGET,
-    BudgetExceeded,
     ModuleSpec,
-    NotIntegral,
-    NotPolynomial,
-    NotRigid,
     Quiver,
     chi_table,
     coxeter_translate,
@@ -42,9 +38,7 @@ from .quiver import (  # GENERIC_DIM_BUDGET is re-exported for callers
     projective_dimension_vector,
 )
 from .rank2 import X_CONTEXT, ExchangeType, cluster_variable
-from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
-
-_RESOLUTION_ERRORS = (NotRigid, NotPolynomial, NotIntegral)
+from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, Inconclusive
 
 
 def _u_variables(Q: Quiver) -> VariableContext:
@@ -234,7 +228,7 @@ def verify_folding(b: int, c: int, k: int, seed: int = 0) -> CheckReport:
         obj = object_for_index(b, c, k)
         Q = kronecker_quiver(b, c)
         folded = fold(cc_polynomial(Q, obj, seed=seed), b, c)
-    except (*_RESOLUTION_ERRORS, BudgetExceeded) as exc:
+    except Inconclusive as exc:
         report.add(label, INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
         return report
     expected = cluster_variable(t, k)
@@ -277,7 +271,7 @@ def verify_exchange_relation(
             cc_polynomial(Q, _resolve(b, c, f"{other}{i}", factor_shift), seed=seed)
             for i in range(1, count + 1)
         ]
-    except (*_RESOLUTION_ERRORS, BudgetExceeded) as exc:
+    except Inconclusive as exc:
         report.add(label, INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
         return report
     left = first * second
@@ -333,7 +327,7 @@ def g_equivariance_check(
     try:
         lhs = cc_polynomial(Q, obj, seed=seed).permute_variables(u_map)
         rhs = cc_polynomial(Q, _permuted_object(Q, obj, full), seed=seed)
-    except (*_RESOLUTION_ERRORS, BudgetExceeded) as exc:
+    except Inconclusive as exc:
         report.add(label, INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
         return report
     if lhs == rhs:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success or all checks passed, 1 a verified property failed,
 2 usage error, 3 the computation was inconclusive (rigidity sampling,
-interpolation holdout, or a budget guard stopped it).
+interpolation holdout, or a budget or size guard stopped it).
 
 Every subcommand accepts --json; the payload is
 {"command": ..., "results": [...], "report": ...} with the report null
@@ -23,7 +23,6 @@ import sys
 from typing import Callable, Sequence
 
 from .ccmap import (
-    BudgetExceeded,
     cc_polynomial,
     fold,
     object_for_index,
@@ -31,14 +30,7 @@ from .ccmap import (
     verify_folding,
 )
 from .laurent import NotDivisible
-from .quiver import (
-    ModuleSpec,
-    NotIntegral,
-    NotPolynomial,
-    NotRigid,
-    euler_characteristic,
-    kronecker_quiver,
-)
+from .quiver import ModuleSpec, euler_characteristic, kronecker_quiver
 from .rank2 import (
     SWEEP_CHECKS,
     ExchangeType,
@@ -47,9 +39,7 @@ from .rank2 import (
     detect_period,
     expand_in_cluster,
 )
-from .report import CheckReport
-
-_INCONCLUSIVE = (NotRigid, NotPolynomial, NotIntegral, BudgetExceeded)
+from .report import CheckReport, Inconclusive
 
 
 def _int_list(text: str) -> list[int]:
@@ -297,7 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _INCONCLUSIVE as exc:
+    except Inconclusive as exc:
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except NotDivisible as exc:

@@ -33,21 +33,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .report import BudgetExceeded, Inconclusive
 
-class NotRigid(RuntimeError):
+
+class NotRigid(Inconclusive):
     """Generic sampling failed to certify endomorphism dimension 1."""
 
 
-class NotPolynomial(RuntimeError):
+class NotPolynomial(Inconclusive):
     """Point counts failed the held-out prime check."""
 
 
-class NotIntegral(RuntimeError):
+class NotIntegral(Inconclusive):
     """Interpolated counting polynomial is non-integer at q = 1."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Module dimension total too large for Grassmannian enumeration."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import _packed
 from .laurent import LaurentPolynomial, NotDivisible, VariableContext
-from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
+from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, Inconclusive
 
 X_CONTEXT = VariableContext(("x1", "x2"))
 Y_CONTEXT = VariableContext(("y1", "y2"))
@@ -72,7 +72,9 @@ def cluster_variable(t: ExchangeType, k: int) -> LaurentPolynomial:
 
     Iterates the recurrence up from the seed, dividing exactly at every
     step: each step runs as one certified packed kernel, and as the sparse
-    power, sum and long division when the kernel declines.  NotDivisible
+    power, sum and long division when the kernel cannot prove its answer.
+    A step past the kernel's size guards (MEMORY_CAP, the int/str
+    conversion limit) raises BudgetExceeded at once instead.  NotDivisible
     propagating out of here means an implementation bug, since exactness
     is guaranteed for the pattern.  An index k <= 0 is the mirror image
     of x_{3-k} of type (c, b) with x1 and x2 swapped.
@@ -189,9 +191,12 @@ def check_positivity_range(
     to its end, however long that takes (from a cold memo on two cores
     without gmpy2, a (2,3) x_11 cell takes 3 to 7 s and x_12 15 to 30 s).
     max_predicted_terms skips cells whose numerator support bound exceeds
-    it, also as inconclusive.  Both guards keep a sweep honest about what
-    it did not verify.  A NaN or negative budget_seconds and a negative
-    max_predicted_terms raise ValueError; budget_seconds=inf means no budget.
+    it, also as inconclusive.  A cell whose computation raises
+    Inconclusive (a step past the kernel's size guards) is one
+    inconclusive item, and the sweep goes on to the next cell.  These
+    guards keep a sweep honest about what it did not verify.  A NaN or
+    negative budget_seconds and a negative max_predicted_terms raise
+    ValueError; budget_seconds=inf means no budget.
     """
     if not checks:
         raise ValueError(f"no checks selected; choose from {SWEEP_CHECKS}")
@@ -232,6 +237,9 @@ def check_positivity_range(
                 p = expand_in_cluster(t, k, m)
             except NotDivisible as exc:
                 report.add(f"{cell} laurent", FAIL, f"inexact division: {exc}")
+                continue
+            except Inconclusive as exc:
+                report.add(cell, INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
                 continue
             if "laurent" in checks:
                 report.add(f"{cell} laurent", PASS, "all divisions exact")

@@ -1,14 +1,27 @@
-"""Structured results for verification sweeps.
+"""Structured results for verification sweeps, and the one way to give up.
 
 A CheckReport is a flat list of labeled items, each pass, fail, or
 inconclusive.  Failure means a property was computed and found false;
 inconclusive means the computation could not be carried out (sampling did
-not certify rigidity, a budget ran out) and asserts nothing.
+not certify rigidity, a size or budget guard stopped it) and asserts
+nothing.
+
+A computation that gives up raises a subclass of `Inconclusive`.  The
+verification drivers report it as an INCONCLUSIVE item and the CLI exits
+3 on it; neither ever reports it as a failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+class Inconclusive(RuntimeError):
+    """The computation could not be carried out; it asserts nothing."""
+
+
+class BudgetExceeded(Inconclusive):
+    """A size guard refused a computation before it started."""
 
 PASS = "pass"
 FAIL = "fail"

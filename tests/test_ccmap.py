@@ -5,7 +5,6 @@ import pytest
 from rank2cluster import ccmap
 from rank2cluster.ccmap import (
     GENERIC_DIM_BUDGET,
-    BudgetExceeded,
     CCObject,
     cc_from_spec,
     cc_polynomial,
@@ -18,6 +17,7 @@ from rank2cluster.ccmap import (
 )
 from rank2cluster.laurent import LaurentPolynomial
 from rank2cluster.quiver import ModuleSpec, kronecker_quiver
+from rank2cluster.report import BudgetExceeded
 from rank2cluster.rank2 import ExchangeType, _tropical_denominator, cluster_variable
 from rank2cluster.report import INCONCLUSIVE, PASS
 

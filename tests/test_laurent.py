@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rank2cluster import _packed
 from rank2cluster.laurent import LaurentPolynomial, NotDivisible, VariableContext
+from rank2cluster.report import BudgetExceeded
 
 X = VariableContext(("x1", "x2"))
 U = VariableContext(("u_v1", "u_v2", "u_w1", "u_w2", "u_w3"))
@@ -611,12 +612,17 @@ def test_packed_kernels_ignore_caller_decimal_context():
 def test_coefficients_past_int_str_limit():
     # a 5001-digit coefficient is past the default int/str conversion
     # limit (4300 digits), so its slot cannot be written as digits: the
-    # kernel must decline and the sparse step answers
+    # kernel must give up on size, while the sparse step still answers.
+    # terms[0, 0] = 2 leaves base[0, 0] = 1, so every base coefficient is
+    # positive and the kernel gets as far as its size guards
     terms = {(i, j): i + j + 1 for i in range(30) for j in range(30)}
+    terms[0, 0] = 2
     terms[7, 7] = 10**5000 + 7
     small = {(i, 2 * i): i + 1 for i in range(25)}
     base = _convolve(terms, small)
     base[0, 0] -= 1
-    assert _packed.positive_exact_div(base, small, 1) is None
+    assert min(base.values()) >= 1
+    with pytest.raises(BudgetExceeded, match="int/str limit"):
+        _packed.positive_exact_div(base, small, 1)
     numerator = LaurentPolynomial(X, base) + 1
     assert numerator.exact_div(LaurentPolynomial(X, small)) == LaurentPolynomial(X, terms)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rank2cluster import _packed
+from rank2cluster.cli import main
 from rank2cluster.laurent import LaurentPolynomial
+from rank2cluster.quiver import NotIntegral, NotPolynomial, NotRigid
 from rank2cluster.rank2 import (
     _CACHE,
     X_CONTEXT,
@@ -20,7 +22,15 @@ from rank2cluster.rank2 import (
     expand_in_cluster,
     predicted_numerator_terms,
 )
-from rank2cluster.report import FAIL, INCONCLUSIVE, PASS, CheckItem, CheckReport
+from rank2cluster.report import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    BudgetExceeded,
+    CheckItem,
+    CheckReport,
+    Inconclusive,
+)
 
 T11 = ExchangeType(1, 1)
 T23 = ExchangeType(2, 3)
@@ -213,6 +223,50 @@ def test_declined_steps_take_the_sparse_step():
         sparse = [cluster_variable(T23, k) for k in range(-4, 9)]
     clear_cache()
     assert sparse == packed
+
+
+def _sparse_step(*args):
+    raise AssertionError("a step past a size guard entered the sparse step")
+
+
+@pytest.fixture
+def small_memory_cap():
+    # a 10,000-digit cap stops (2,3) at its x_8 step (975 slots of 17
+    # digits) and (3,2) at x_8; the sparse step must not be entered
+    clear_cache()
+    with mock.patch.object(_packed, "MEMORY_CAP", 10_000), mock.patch.object(
+        LaurentPolynomial, "__pow__", _sparse_step
+    ), mock.patch.object(LaurentPolynomial, "exact_div", _sparse_step):
+        yield
+    clear_cache()
+
+
+def test_every_way_to_give_up_is_inconclusive():
+    for cls in (BudgetExceeded, NotRigid, NotPolynomial, NotIntegral):
+        assert issubclass(cls, Inconclusive)
+
+
+def test_step_past_memory_cap_raises(small_memory_cap):
+    assert len(cluster_variable(T23, 7)) > 0
+    with pytest.raises(BudgetExceeded, match="975 slots of 17 digits"):
+        cluster_variable(T23, 8)
+
+
+def test_sweep_reports_steps_past_memory_cap_inconclusive(small_memory_cap):
+    # m = 0 runs type (3,2) at j = k + 1, so k = 7, 8, 9 need its x_8 step
+    report = check_positivity_range(T23, 3, 9, 0, 0)
+    assert (report.passed, report.failed, report.inconclusive) == (8, 0, 3)
+    given_up = [it for it in report.items if it.status == INCONCLUSIVE]
+    assert [it.label for it in given_up] == ["k=7 m=0", "k=8 m=0", "k=9 m=0"]
+    assert all(it.detail.startswith("BudgetExceeded: ") for it in given_up)
+    assert report.exit_code() == 3
+
+
+def test_cli_exits_3_on_a_step_past_memory_cap(small_memory_cap, capsys):
+    assert main(["var", "--b", "2", "--c", "3", "--k", "9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("inconclusive: BudgetExceeded: ")
 
 
 def test_memo_holds_forward_steps_only():
