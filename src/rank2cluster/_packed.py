@@ -5,8 +5,8 @@ huge integer by laying its coefficient box out in base 10**w, a
 multivariate Kronecker substitution: each slot of the box is w decimal
 digits.  Powers and exact quotients of such integers recover the
 polynomial operations as long as no convolution sum ever reaches the slot
-modulus; positivity makes the required slot width cheap to bound ahead of
-time, which turns this from a heuristic into a proof.  That bound holds
+modulus; positivity makes that cheap to check on the quotient actually
+found, which turns this from a heuristic into a proof.  The check holds
 for the positive polynomials of the exchange recurrence
 x_{k+1} = (x_k**e + 1) / x_{k-1}, not for a general ring element, so the
 packing serves that one step: ``positive_exact_div`` packs x_k and x_{k-1}
@@ -14,6 +14,12 @@ once each, raises the packed base to the e-th power, adds the constant
 slot, divides, and unpacks only the quotient.  Recurrence sweeps spend
 nearly all their time in these steps, so running them on a subquadratic
 big-number library is worth the bookkeeping.
+
+The slots are first one digit wider than any operand or numerator
+coefficient, which packs the numerator without carries, and the carry
+bound is checked on the quotient found.  Only when that bound fails is
+the step divided again at a width bounded ahead of time, where a true
+quotient always passes.
 
 The packed numbers are ``gmpy2.mpz`` when gmpy2 is importable and
 ``decimal.Decimal`` otherwise.  CPython's ``decimal`` is libmpdec, which
@@ -41,13 +47,18 @@ The slot bookkeeping is plain Python over digit strings: terms are
 written into a digit buffer at their slots, and the quotient is read back
 by slicing its decimal string from the right, one slot at a time.  The
 numerator is never written out as digits: the long division cuts its
-blocks off the packed power by powers of ten.
+blocks off the packed power by powers of ten.  A numerator of one block
+is divided by one divmod; a longer one pays for one reciprocal of the
+divisor per step, and each block takes its quotient from two products
+with it (``_block_divmod``).  With a deadline, the clock is read before
+each block.
 """
 
 from __future__ import annotations
 
 import decimal
 import sys
+import time
 from math import gcd
 
 from .report import BudgetExceeded
@@ -82,8 +93,8 @@ _EXACT = decimal.Context(
 MEMORY_CAP = 1_500_000_000
 
 # Floor on the block length of the long division, in digits.  Blocks this
-# short need little scratch space, and every block pays for the divisor's
-# reciprocal again, so shorter blocks would only add calls.
+# short need little scratch space, and each block costs two products and
+# a correction, so shorter blocks would only add calls.
 _MIN_BLOCK_DIGITS = 1 << 16
 
 # Python 3.10 releases before 3.10.7 have no limit on int/str conversion.
@@ -112,20 +123,28 @@ def _box(terms: dict) -> tuple[list[int], list[int], list[int]]:
     return mins, maxs, gs
 
 
-def _geometry(sizes: list[int], bound: int) -> tuple[int, list[int]]:
-    """Slot width and box strides for a box of `sizes` slots.
+def _width(bound: int) -> int:
+    """The decimal digit count of `bound` > 0, rarely one more.
 
-    The width is the decimal digit count of `bound`, so 10**width > bound.
-    It is sized from the bit length, since str(bound) itself may be past
-    the interpreter's int/str conversion limit.  Raises BudgetExceeded
-    when a slot would be past that limit, where the coefficients could not
-    be written or read, or when the packed digits would exceed MEMORY_CAP.
+    So 10**width > bound.  It is sized from the bit length, since
+    str(bound) itself may be past the interpreter's int/str conversion
+    limit.
     """
     # 0.30103 > log10(2), so this is at least the digit count of
     # 2**(bit_length-1) <= bound, and at most one below that of bound
     width = (bound.bit_length() - 1) * 30103 // 100000 + 1
     if 10 ** width <= bound:
         width += 1
+    return width
+
+
+def _geometry(sizes: list[int], width: int) -> list[int]:
+    """Box strides for a box of `sizes` slots of `width` digits.
+
+    Raises BudgetExceeded when a slot would be past the interpreter's
+    int/str conversion limit, where the coefficients could not be written
+    or read, or when the packed digits would exceed MEMORY_CAP.
+    """
     limit = _max_str_digits()
     if limit and width > limit:
         raise BudgetExceeded(f"slot width {width} digits is past the int/str limit {limit}")
@@ -139,7 +158,7 @@ def _geometry(sizes: list[int], bound: int) -> tuple[int, list[int]]:
             f"{total} slots of {width} digits is {total * width} digits, "
             f"past MEMORY_CAP {MEMORY_CAP}"
         )
-    return width, strides[::-1]
+    return strides[::-1]
 
 
 def _slot(exps, mins, steps, strides) -> int:
@@ -187,19 +206,55 @@ def _ten(digits: int):
     return _NUM(10) ** digits
 
 
-def _split(value, digits: int):
-    """divmod(value, 10**digits), in Decimal by moving the exponent.
+def _shift(value, digits: int):
+    """value // 10**digits for value >= 0, in Decimal by moving the exponent.
 
     libmpdec divides by a power of ten as by any other number; truncating
-    the scaled value and subtracting takes linear time instead.
+    the scaled value takes linear time instead.
     """
     if _NUM is not decimal.Decimal:
-        return divmod(value, _ten(digits))
-    high = value.scaleb(-digits).to_integral_value(rounding=decimal.ROUND_DOWN)
+        return value // _ten(digits)
+    return value.scaleb(-digits).to_integral_value(rounding=decimal.ROUND_DOWN)
+
+
+def _split(value, digits: int):
+    """divmod(value, 10**digits) for value >= 0, in linear time in Decimal."""
+    high = _shift(value, digits)
     return high, value - high * _ten(digits)
 
 
-def positive_exact_div(base: dict, den: dict, e: int) -> dict | None:
+def _digits(value) -> int:
+    """Decimal digit count of the packed number value > 0."""
+    if _NUM is decimal.Decimal:
+        return value.adjusted() + 1
+    n = _width(value)
+    return n - (value < _ten(n - 1))
+
+
+def _block_divmod(a, pd, n: int, recip, bl: int):
+    """divmod(a, pd) for 0 <= a < pd * 10**bl, where pd has n digits.
+
+    The quotient is estimated as floor(floor(a / 10**(n-1)) * recip /
+    10**(bl+1)) and corrected by its exact remainder, so the result is
+    exact for any `recip`.  With recip = 10**(n+bl) // pd the estimate is
+    never above the quotient and at most 2 below it, so the block costs
+    two products and the shifts, where a divmod would also compute a
+    reciprocal of pd.
+    """
+    q = _shift(_shift(a, n - 1) * recip, bl + 1)
+    r = a - q * pd
+    while r < 0:
+        q -= 1
+        r += pd
+    while r >= pd:
+        q += 1
+        r -= pd
+    return q, r
+
+
+def positive_exact_div(
+    base: dict, den: dict, e: int, deadline: float | None = None
+) -> dict | None:
     """Certified quotient (base**e + 1) / den of positive term dicts, or None.
 
     None means "not proven" and covers every such case: a coefficient
@@ -209,6 +264,12 @@ def positive_exact_div(base: dict, den: dict, e: int) -> dict | None:
     conversion limit raises BudgetExceeded before anything is packed.
     When a dict is returned, quotient * den == base**e + 1 holds exactly
     over Z.
+
+    With a `deadline` (a time.monotonic() value), the clock is read before
+    each block of the long division, and a step found past it raises
+    BudgetExceeded naming the block.  The deadline is then overrun by at
+    most one power, one reciprocal and one block.  Without one the clock
+    is never read.
     """
     if min(base.values()) <= 0 or min(den.values()) <= 0:
         return None
@@ -234,45 +295,77 @@ def positive_exact_div(base: dict, den: dict, e: int) -> dict | None:
     # a coefficient of base**e sums at most len(base)**(e-1) products of e
     # coefficients, so this bounds every numerator coefficient
     max_n = len(base) ** (e - 1) * max(base.values()) ** e + 1
-    width, strides = _geometry(sizes, len(den) * max_n * max_d)
+    # A true quotient passes the carry bound below at the wide width, and
+    # the size guards are judged there.  The narrow width, one digit more
+    # than any operand or numerator coefficient, packs them all without
+    # carries too, and a true quotient's coefficients (at most max_n) fill
+    # its slots exactly.  So a nonzero remainder or a support failure
+    # there means no quotient the wide width could certify either; only
+    # the carry bound can fail on a true quotient, and then the step is
+    # divided again at the wide width.
+    wide = _width(len(den) * max_n * max_d)
+    strides = _geometry(sizes, wide)
+    narrow = min(_width(max(max_n, max_d)) + 1, wide)
     mins_q = [mins_n[i] - mins_d[i] for i in range(n)]
-    # Long division by blocks of whole slots, from the top, each block at
-    # least as long as the divisor.  The quotient of a block fills exactly
-    # the block's slots, and the scratch space of a division follows the
-    # block length, not the numerator's.
-    block = max(1 + _slot(maxs_d, mins_d, steps, strides), _MIN_BLOCK_DIGITS // width)
     # base**e starts at the slot of e*mins_b, the constant at the origin's
     shift = _slot([e * m for m in mins_b], mins_n, steps, strides)
     one = _slot([0] * n, mins_n, steps, strides)
-    hi = sizes[0] * strides[0]
-    quot: dict = {}
-    rem = 0
-    with decimal.localcontext(_EXACT):
-        pd = _pack(den, mins_d, steps, strides, width)
-        # every slot of the power holds one coefficient of base**e, below
-        # the slot modulus, so the power packs base**e without carries
-        rest = _pack(base, mins_b, steps, strides, width) ** e
-        if shift:
-            rest *= _ten(shift * width)
-        for lo in range((hi - 1) // block * block, -1, -block):
-            part, rest = _split(rest, lo * width)
-            if lo <= one < hi:
-                part += _ten((one - lo) * width)
-            q, rem = divmod(rem * _ten((hi - lo) * width) + part, pd)
-            _unpack(q, lo, quot, mins_q, steps, sizes, width)
-            hi = lo
-    if rem:
-        return None
-    # Certificate: if quot*den stays inside the numerator box, so that no
-    # slot wraps into the next row, and every convolution sum stays below
-    # the slot modulus, then q*pd is the packing of quot*den digit for
-    # digit, and the integer identity is the polynomial identity.  A true
-    # quotient always passes (its support is a Minkowski summand of the
-    # numerator's, and its coefficients are bounded by max_n, by pairing
-    # against the divisor's minimal corner).  A zero remainder on a nonzero
-    # numerator leaves a nonzero quotient, so quot has terms.
-    if any(max(x[i] for x in quot) + maxs_d[i] > maxs_n[i] for i in range(n)):
-        return None
-    if min(len(quot), len(den)) * max(quot.values()) * max_d >= 10 ** width:
-        return None
-    return quot
+    top = sizes[0] * strides[0]
+    for width in sorted({narrow, wide}):
+        # Long division by blocks of whole slots, from the top, each block
+        # at least as long as the divisor.  The quotient of a block fills
+        # exactly the block's slots, and the scratch space of a division
+        # follows the block length, not the numerator's.
+        block = max(1 + _slot(maxs_d, mins_d, steps, strides), _MIN_BLOCK_DIGITS // width)
+        blocks = (top - 1) // block + 1
+        quot: dict = {}
+        rem = 0
+        hi = top
+        with decimal.localcontext(_EXACT):
+            pd = _pack(den, mins_d, steps, strides, width)
+            # every slot of the power holds one coefficient of base**e,
+            # below the slot modulus, so the power packs base**e without
+            # carries
+            rest = _pack(base, mins_b, steps, strides, width) ** e
+            if shift:
+                rest *= _ten(shift * width)
+            if blocks > 1:
+                # one reciprocal of the divisor serves every block
+                bl = block * width
+                pd_digits = _digits(pd)
+                recip = _ten(pd_digits + bl) // pd
+            for i, lo in enumerate(range((blocks - 1) * block, -1, -block), 1):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceeded(
+                        f"time budget exhausted before block {i} of {blocks} of the division"
+                    )
+                part, rest = _split(rest, lo * width)
+                if lo <= one < hi:
+                    part += _ten((one - lo) * width)
+                digits = (hi - lo) * width
+                part += rem * _ten(digits)
+                if blocks == 1:
+                    q, rem = divmod(part, pd)
+                else:
+                    # the top block may be short: floor(recip / 10**s) is
+                    # the reciprocal for a block s digits shorter
+                    r = recip if digits == bl else _shift(recip, bl - digits)
+                    q, rem = _block_divmod(part, pd, pd_digits, r, digits)
+                _unpack(q, lo, quot, mins_q, steps, sizes, width)
+                hi = lo
+        if rem:
+            return None
+        # Certificate: if quot*den stays inside the numerator box, so that
+        # no slot wraps into the next row, and every convolution sum stays
+        # below the slot modulus, then q*pd is the packing of quot*den digit
+        # for digit, and the integer identity is the polynomial identity.  A
+        # true quotient always passes at the wide width (its support is a
+        # Minkowski summand of the numerator's, and its coefficients are
+        # bounded by max_n, by pairing against the divisor's minimal
+        # corner).  A zero remainder on a nonzero numerator leaves a nonzero
+        # quotient, so quot has terms.
+        if any(max(x[i] for x in quot) + maxs_d[i] > maxs_n[i] for i in range(n)):
+            return None
+        if min(len(quot), len(den)) * max(quot.values()) * max_d < 10 ** width:
+            return quot
+    return None

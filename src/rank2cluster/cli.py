@@ -108,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-seconds",
         type=float,
         default=None,
-        help="checked between cells: later cells are reported inconclusive, "
-        "but a cell started before the deadline runs to its end",
+        help="checked between cells and before each block of an exchange step's "
+        "division: later cells and the cut cell are reported inconclusive; a cell "
+        "overruns by at most one power, one reciprocal and one block",
     )
     p.add_argument("--max-terms", type=int, default=None)
     _add_json(p)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import _packed
 from .laurent import LaurentPolynomial, NotDivisible, VariableContext
-from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, Inconclusive
+from .report import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, CheckReport, Inconclusive
 
 X_CONTEXT = VariableContext(("x1", "x2"))
 Y_CONTEXT = VariableContext(("y1", "y2"))
@@ -67,14 +67,21 @@ def _maybe_cache(key: tuple[int, int, int], value: LaurentPolynomial) -> None:
         _CACHE[key] = value
 
 
-def cluster_variable(t: ExchangeType, k: int) -> LaurentPolynomial:
+def cluster_variable(
+    t: ExchangeType, k: int, deadline: float | None = None
+) -> LaurentPolynomial:
     """The element x_k written in the initial cluster (x_1, x_2).
 
     Iterates the recurrence up from the seed, dividing exactly at every
     step: each step runs as one certified packed kernel, and as the sparse
     power, sum and long division when the kernel cannot prove its answer.
     A step past the kernel's size guards (MEMORY_CAP, the int/str
-    conversion limit) raises BudgetExceeded at once instead.  NotDivisible
+    conversion limit) raises BudgetExceeded at once instead.  With a
+    `deadline` (a time.monotonic() value), a packed step found past it
+    before one of its division blocks raises BudgetExceeded naming the
+    step and the block, and nothing of that step is memoized; the
+    deadline is overrun by at most one power, one reciprocal and one
+    block (the sparse step is not bounded).  NotDivisible
     propagating out of here means an implementation bug, since exactness
     is guaranteed for the pattern.  An index k <= 0 is the mirror image
     of x_{3-k} of type (c, b) with x1 and x2 swapped.
@@ -90,7 +97,10 @@ def cluster_variable(t: ExchangeType, k: int) -> LaurentPolynomial:
             nxt = _CACHE.get((t.b, t.c, j + 1))
             if nxt is None:
                 e = _step_exponent(t, j)
-                quot = _packed.positive_exact_div(cur._terms, prev._terms, e)
+                try:
+                    quot = _packed.positive_exact_div(cur._terms, prev._terms, e, deadline)
+                except BudgetExceeded as exc:
+                    raise BudgetExceeded(f"x_{j + 1} of type ({t.b},{t.c}): {exc}") from None
                 if quot is None:
                     nxt = (cur ** e + 1).exact_div(prev)
                 else:
@@ -100,18 +110,20 @@ def cluster_variable(t: ExchangeType, k: int) -> LaurentPolynomial:
     return cur.permute_variables({"x1": "x2", "x2": "x1"}) if mirrored else cur
 
 
-def expand_in_cluster(t: ExchangeType, k: int, m: int) -> LaurentPolynomial:
+def expand_in_cluster(
+    t: ExchangeType, k: int, m: int, deadline: float | None = None
+) -> LaurentPolynomial:
     """x_k as a Laurent polynomial in y1 = x_m, y2 = x_{m+1}.
 
     Running the recurrence from the seed pair at offset m, with the step
     exponent keyed to the parity of the true index, is the same as
     evaluating the standard family at index k - m + 1 for type (b, c) when
     m is odd and type (c, b) when m is even; that reduction shares the
-    memo cache across all offsets.
+    memo cache across all offsets.  `deadline` is cluster_variable's.
     """
     j = k - m + 1
     base = t if m % 2 else t.swapped
-    p = cluster_variable(base, j)
+    p = cluster_variable(base, j, deadline)
     return LaurentPolynomial._raw(Y_CONTEXT, p._terms)
 
 
@@ -186,14 +198,17 @@ def check_positivity_range(
     nonnegative, and max-norm strictly growing away from the seed when
     bc >= 4).  Failure is recorded with a witness, never raised.
 
-    budget_seconds is checked between cells: cells not started before the
-    deadline are reported inconclusive, but a cell started before it runs
-    to its end, however long that takes (from a cold memo on two cores
-    without gmpy2, a (2,3) x_11 cell takes 3 to 7 s and x_12 15 to 30 s).
-    max_predicted_terms skips cells whose numerator support bound exceeds
-    it, also as inconclusive.  A cell whose computation raises
-    Inconclusive (a step past the kernel's size guards) is one
-    inconclusive item, and the sweep goes on to the next cell.  These
+    budget_seconds is checked between cells, where cells not started
+    before the deadline are reported inconclusive, and inside each
+    exchange step, before each block of its division, where a cell cut at
+    the deadline is one inconclusive item naming the step and the block.
+    A cell's expansion overruns the deadline by at most one power, one
+    reciprocal and one block of a step (the sparse step, which runs only
+    when the packed kernel cannot prove its answer, is not bounded).  max_predicted_terms
+    skips cells whose numerator support bound exceeds it, also as
+    inconclusive.  A cell whose computation raises Inconclusive (a step
+    past the kernel's size guards or the deadline) is one inconclusive
+    item, and the sweep goes on to the next cell.  These
     guards keep a sweep honest about what it did not verify.  A NaN or
     negative budget_seconds and a negative max_predicted_terms raise
     ValueError; budget_seconds=inf means no budget.
@@ -234,7 +249,7 @@ def check_positivity_range(
                     )
                     continue
             try:
-                p = expand_in_cluster(t, k, m)
+                p = expand_in_cluster(t, k, m, deadline)
             except NotDivisible as exc:
                 report.add(f"{cell} laurent", FAIL, f"inexact division: {exc}")
                 continue

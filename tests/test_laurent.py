@@ -626,3 +626,88 @@ def test_coefficients_past_int_str_limit():
         _packed.positive_exact_div(base, small, 1)
     numerator = LaurentPolynomial(X, base) + 1
     assert numerator.exact_div(LaurentPolynomial(X, small)) == LaurentPolynomial(X, terms)
+
+
+# _block_divmod takes a block's quotient from one reciprocal of the divisor
+# per step.  It must agree with divmod on both arms of the kernel: Decimal,
+# and int standing in for gmpy2's mpz.
+_ARMS = [decimal.Decimal, int]
+
+
+def _reciprocal_divmod(arm, a, pd, bl, offset=0):
+    """_block_divmod(a, pd) from the reciprocal 10**(n+bl) // pd + offset."""
+    with mock.patch.object(_packed, "_NUM", arm), decimal.localcontext(_packed._EXACT):
+        a, pd = arm(a), arm(pd)
+        n = _packed._digits(pd)
+        assert 10 ** (n - 1) <= pd < 10**n
+        recip = _packed._ten(n + bl) // pd + offset
+        q, r = _packed._block_divmod(a, pd, n, recip, bl)
+    return int(q), int(r)
+
+
+def _estimate(a, pd, bl, offset=0):
+    """_block_divmod's quotient before its correction loop."""
+    n = len(str(pd))
+    recip = 10 ** (n + bl) // pd + offset
+    return a // 10 ** (n - 1) * recip // 10 ** (bl + 1)
+
+
+def _block_cases():
+    for n, bl in itertools.product((1, 2, 7, 23), (1, 4, 30)):
+        for pd in (10 ** (n - 1), 10**n - 1, 10 ** (n - 1) + 7 * n if n > 1 else 3):
+            for a in (0, 1, pd - 1, pd, pd * 10**bl - 1, pd * (10**bl - 1), pd * 10 ** (bl // 2)):
+                yield a, pd, bl
+
+
+@pytest.mark.parametrize("arm", _ARMS)
+def test_block_divmod_matches_divmod(arm):
+    below = 0
+    for a, pd, bl in _block_cases():
+        assert _reciprocal_divmod(arm, a, pd, bl) == divmod(a, pd), (a, pd, bl)
+        # the exact reciprocal's estimate is at most 2 below the quotient
+        assert 0 <= a // pd - _estimate(a, pd, bl) <= 2
+        below += _estimate(a, pd, bl) < a // pd
+    # the correction loop ran upward on some of these
+    assert below
+
+
+@pytest.mark.parametrize("arm", _ARMS)
+@pytest.mark.parametrize("offset", [-5, -1, 1, 5])
+def test_block_divmod_corrects_any_reciprocal(arm, offset):
+    # an inexact reciprocal only costs correction steps: a reciprocal too
+    # large puts the estimate above the quotient, so the loop runs downward
+    above = 0
+    for a, pd, bl in _block_cases():
+        assert _reciprocal_divmod(arm, a, pd, bl, offset) == divmod(a, pd), (a, pd, bl)
+        above += _estimate(a, pd, bl, offset) > a // pd
+    assert bool(above) == (offset > 0)
+
+
+@given(st.integers(1, 60), st.integers(1, 60), st.data())
+@settings(max_examples=100)
+def test_block_divmod_on_random_blocks(n, bl, data):
+    pd = data.draw(st.integers(10 ** (n - 1), 10**n - 1))
+    a = data.draw(st.integers(0, pd * 10**bl - 1))
+    for arm in _ARMS:
+        assert _reciprocal_divmod(arm, a, pd, bl) == divmod(a, pd)
+
+
+def test_packed_div_retries_at_the_wide_width():
+    # The kernel first divides at a slot one digit wider than any operand
+    # or numerator coefficient: 7 digits here, as max_n = 899,992.  Its
+    # carry bound, 21 * 99,999 * 9 >= 10**7, fails on this true quotient,
+    # so the step is divided again at the wide width (9 digits), where the
+    # bound holds.
+    den = {(i, 0): 9 for i in range(21)}
+    quot = {(0, j): 99_999 for j in range(21)}
+    base = _convolve(den, quot)
+    base[0, 0] -= 1
+    packs = []
+
+    def pack(terms, mins, steps, strides, width, pack=_packed._pack):
+        packs.append(width)
+        return pack(terms, mins, steps, strides, width)
+
+    with mock.patch.object(_packed, "_pack", pack):
+        assert _packed.positive_exact_div(base, den, 1) == quot
+    assert packs == [7, 7, 9, 9]

@@ -1,3 +1,6 @@
+import itertools
+import re
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -194,8 +197,8 @@ def test_large_wild_step_matches_modular_recurrence():
     t = ExchangeType(3, 2)
     answered = []
 
-    def packed_div(base, den, e, kernel=_packed.positive_exact_div):
-        quot = kernel(base, den, e)
+    def packed_div(base, den, e, deadline=None, kernel=_packed.positive_exact_div):
+        quot = kernel(base, den, e, deadline)
         answered.append(quot is not None)
         return quot
 
@@ -219,7 +222,7 @@ def test_declined_steps_take_the_sparse_step():
     clear_cache()
     packed = [cluster_variable(T23, k) for k in range(-4, 9)]
     clear_cache()
-    with mock.patch.object(_packed, "positive_exact_div", lambda base, den, e: None):
+    with mock.patch.object(_packed, "positive_exact_div", lambda base, den, e, deadline: None):
         sparse = [cluster_variable(T23, k) for k in range(-4, 9)]
     clear_cache()
     assert sparse == packed
@@ -323,6 +326,70 @@ def test_sweep_budget_reports_inconclusive():
     assert report.inconclusive == len(report.items)
     assert report.exit_code() == 3
     assert "budget" in report.items[0].detail
+
+
+@pytest.fixture
+def short_blocks():
+    # blocks as short as the divisor, so small steps divide in several
+    # blocks; cold memo before and after
+    clear_cache()
+    with mock.patch.object(_packed, "_MIN_BLOCK_DIGITS", 1):
+        yield
+    clear_cache()
+
+
+def _clock_started_by(key):
+    """A clock that reads 0 until `key` is memoized, then 1, 2, 3, ..."""
+    ticks = itertools.count(1)
+    return lambda: next(ticks) if key in _CACHE else 0.0
+
+
+def test_sweep_deadline_cuts_a_step_between_blocks(short_blocks):
+    # m = 1 runs type (2,3) at j = k; the clock starts once x_8 is
+    # memoized, so the cell k=9 starts at 1 <= 2, its step x_9 divides
+    # block 1 at 2 and is cut before block 2 at 3
+    with mock.patch.object(time, "monotonic", _clock_started_by((2, 3, 8))):
+        report = check_positivity_range(T23, 7, 10, 1, 1, budget_seconds=2.0)
+    assert [(it.label, it.status) for it in report.items] == [
+        ("k=7 m=1 laurent", PASS),
+        ("k=7 m=1 positivity", PASS),
+        ("k=8 m=1 laurent", PASS),
+        ("k=8 m=1 positivity", PASS),
+        ("k=9 m=1", INCONCLUSIVE),
+        ("k=10 m=1", INCONCLUSIVE),
+    ]
+    assert re.fullmatch(
+        r"BudgetExceeded: x_9 of type \(2,3\): time budget exhausted before block 2 "
+        r"of \d+ of the division",
+        report.items[4].detail,
+    )
+    assert report.items[5].detail == "time budget exhausted before this cell"
+    # nothing of the cut step is memoized
+    assert (2, 3, 8) in _CACHE and (2, 3, 9) not in _CACHE
+    assert report.exit_code() == 3
+
+
+def test_step_past_deadline_raises(short_blocks):
+    cluster_variable(T23, 8)
+    with mock.patch.object(time, "monotonic", lambda: 10.0):
+        with pytest.raises(BudgetExceeded, match=r"x_9 .* before block 1 of"):
+            cluster_variable(T23, 9, deadline=5.0)
+        # x_-1 of (2,3) mirrors x_4 of (3,2), whose first step is cut
+        with pytest.raises(BudgetExceeded, match=r"x_3 of type \(3,2\)"):
+            expand_in_cluster(T23, -1, 1, deadline=5.0)
+    assert (2, 3, 9) not in _CACHE
+    assert cluster_variable(T23, 9, deadline=time.monotonic() + 600) == cluster_variable(T23, 9)
+
+
+def _no_clock():
+    raise AssertionError("the clock was read without a deadline")
+
+
+def test_no_budget_never_reads_the_clock(short_blocks):
+    with mock.patch.object(time, "monotonic", _no_clock):
+        assert len(cluster_variable(T23, 9)) > 0
+        report = check_positivity_range(T23, -3, 10, 0, 1)
+    assert report.all_passed
 
 
 def test_sweep_term_cap_skips_heavy_cells():
