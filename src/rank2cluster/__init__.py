@@ -20,7 +20,7 @@ from .ccmap import (
     verify_exchange_relation,
     verify_folding,
 )
-from .laurent import LaurentPolynomial, NotDivisible, VariableContext
+from .laurent import LaurentPolynomial, VariableContext
 from .quiver import (
     GrassmannianCount,
     ModuleSpec,
@@ -75,7 +75,6 @@ __all__ = [
     "Inconclusive",
     "LaurentPolynomial",
     "ModuleSpec",
-    "NotDivisible",
     "NotIntegral",
     "NotPolynomial",
     "NotRigid",

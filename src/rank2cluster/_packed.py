@@ -35,13 +35,13 @@ coefficient dict, or None when it cannot prove its answer: an operand
 with a coefficient <= 0, which the carry bound does not cover, a divisor
 off the numerator's lattice or box, a nonzero remainder, or a failed
 certificate.  Callers must treat None as "not proven", never as a
-divisibility verdict; the sparse step decides those cases.  A packing
-past MEMORY_CAP or a slot past the interpreter's int/str conversion limit
-is not a case the sparse step could answer in useful time, so those two
-size guards raise BudgetExceeded instead.  The quotient is certified by
-its support and a carry bound before it is returned, so an accidental
-integer divisibility can never leak through as a wrong polynomial
-quotient.
+divisibility verdict.  Along the recurrence every x_k is a positive
+Laurent polynomial, so none of these cases arises there, and ``rank2``
+reports a None as inconclusive.  A packing past MEMORY_CAP or a slot past
+the interpreter's int/str conversion limit raises BudgetExceeded.  The
+quotient is certified by its support and a carry bound before it is
+returned, so an accidental integer divisibility can never leak through
+as a wrong polynomial quotient.
 
 The slot bookkeeping is plain Python over digit strings: terms are
 written into a digit buffer at their slots, and the quotient is read back

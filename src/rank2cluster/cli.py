@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or all checks passed, 1 a verified property failed,
 2 usage error, 3 the computation was inconclusive (rigidity sampling,
-interpolation holdout, or a budget or size guard stopped it).
+interpolation holdout, a budget or size guard, or an exchange step the
+packed kernel could not certify stopped it).
 
 Every subcommand accepts --json; the payload is
 {"command": ..., "results": [...], "report": ...} with the report null
@@ -29,7 +30,6 @@ from .ccmap import (
     verify_exchange_relation,
     verify_folding,
 )
-from .laurent import NotDivisible
 from .quiver import ModuleSpec, euler_characteristic, kronecker_quiver
 from .rank2 import (
     SWEEP_CHECKS,
@@ -291,9 +291,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Inconclusive as exc:
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except NotDivisible as exc:
-        print(f"FAIL: inexact division: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message: print it unquoted
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -8,8 +8,8 @@ machine words, so nothing here ever rounds.
 
 The sparse dict algorithms here are the reference semantics for every
 ring operation.  The one hot operation of the recurrence, the exchange
-step, has its own packed kernel in ``_packed``, called by ``rank2``,
-which falls back to these algorithms when that kernel declines.
+step (x_k^e + 1) / x_{k-1}, is not one of them: it runs only as the
+certified packed kernel in ``_packed``, called by ``rank2``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
-
-
-class NotDivisible(ArithmeticError):
-    """Raised by exact_div when no Laurent-polynomial quotient exists."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +45,6 @@ class VariableContext:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
-
-
-def _grlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), e)
 
 
 class LaurentPolynomial:
@@ -234,84 +226,6 @@ class LaurentPolynomial:
             for e, c in self._terms.items()
         }
         return LaurentPolynomial._raw(self.context, out)
-
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative powers are not defined on polynomials")
-        if n == 0:
-            return LaurentPolynomial.one(self.context)
-        # left to right from the top bit, so no factor is a copy of one
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
-
-    def exact_div(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Quotient q with q * other == self, or raise NotDivisible.
-
-        Monomial divisors are units in the Laurent ring up to coefficient
-        content.  The general case factors out monomial content and runs
-        multivariate long division under graded lex order, whose first
-        stuck leading term is a certificate of non-divisibility for exact
-        multiples.
-        """
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError("exact_div expects a LaurentPolynomial")
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return self
-        n = self.context.arity
-        if len(other._terms) == 1:
-            (e0, c0), = other._terms.items()
-            out = {}
-            for e, c in self._terms.items():
-                if c % c0:
-                    raise NotDivisible(f"coefficient {c} not divisible by {c0}")
-                out[tuple(e[i] - e0[i] for i in range(n))] = c // c0
-            return LaurentPolynomial._raw(self.context, out)
-        return self._long_division(other)
-
-    def _long_division(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        n = self.context.arity
-        shift_n = [min(e[i] for e in self._terms) for i in range(n)]
-        shift_d = [min(e[i] for e in other._terms) for i in range(n)]
-        num = {tuple(e[i] - shift_n[i] for i in range(n)): c for e, c in self._terms.items()}
-        den = {tuple(e[i] - shift_d[i] for i in range(n)): c for e, c in other._terms.items()}
-        lead = max(den, key=_grlex_key)
-        lc = den[lead]
-        quot: dict[tuple[int, ...], int] = {}
-        rem = num
-        while rem:
-            rl = max(rem, key=_grlex_key)
-            rc = rem[rl]
-            mono = tuple(rl[i] - lead[i] for i in range(n))
-            if any(x < 0 for x in mono) or rc % lc:
-                # For an exact multiple every intermediate leading term is
-                # divisible by the divisor's leading term, so this is a
-                # certificate, not a heuristic give-up.
-                raise NotDivisible(
-                    f"leading term {rl} with coefficient {rc} not divisible "
-                    f"by divisor leading term {lead} ({lc})"
-                )
-            coef = rc // lc
-            quot[mono] = coef
-            for e, c in den.items():
-                f = tuple(mono[i] + e[i] for i in range(n))
-                s = rem.get(f, 0) - coef * c
-                if s:
-                    rem[f] = s
-                else:
-                    rem.pop(f, None)
-        offset = tuple(shift_n[i] - shift_d[i] for i in range(n))
-        if any(offset):
-            quot = {tuple(e[i] + offset[i] for i in range(n)): c for e, c in quot.items()}
-        return LaurentPolynomial._raw(self.context, quot)
 
     # ------------------------------------------------------------------
     # structural operations

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from . import _packed
-from .laurent import LaurentPolynomial, NotDivisible, VariableContext
+from .laurent import LaurentPolynomial, VariableContext
 from .report import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, CheckReport, Inconclusive
 
 X_CONTEXT = VariableContext(("x1", "x2"))
@@ -73,18 +73,18 @@ def cluster_variable(
     """The element x_k written in the initial cluster (x_1, x_2).
 
     Iterates the recurrence up from the seed, dividing exactly at every
-    step: each step runs as one certified packed kernel, and as the sparse
-    power, sum and long division when the kernel cannot prove its answer.
-    A step past the kernel's size guards (MEMORY_CAP, the int/str
-    conversion limit) raises BudgetExceeded at once instead.  With a
-    `deadline` (a time.monotonic() value), a packed step found past it
-    before one of its division blocks raises BudgetExceeded naming the
-    step and the block, and nothing of that step is memoized; the
-    deadline is overrun by at most one power, one reciprocal and one
-    block (the sparse step is not bounded).  NotDivisible
-    propagating out of here means an implementation bug, since exactness
-    is guaranteed for the pattern.  An index k <= 0 is the mirror image
-    of x_{3-k} of type (c, b) with x1 and x2 swapped.
+    step, and each step runs as one certified packed kernel.  Every x_k
+    is a positive Laurent polynomial, which is what the kernel's
+    certificate needs, so it is expected to answer every step; a step it
+    cannot certify raises Inconclusive naming the step, since nothing
+    then proves or refutes the quotient.  A step past the kernel's size
+    guards (MEMORY_CAP, the int/str conversion limit) raises
+    BudgetExceeded.  With a `deadline` (a time.monotonic() value), a step
+    found past it before one of its division blocks raises
+    BudgetExceeded naming the step and the block; the deadline is
+    overrun by at most one power, one reciprocal and one block.  Nothing
+    of a step that raises is memoized.  An index k <= 0 is the mirror
+    image of x_{3-k} of type (c, b) with x1 and x2 swapped.
     """
     mirrored = k <= 0
     if mirrored:
@@ -96,15 +96,15 @@ def cluster_variable(
         for j in range(2, k):
             nxt = _CACHE.get((t.b, t.c, j + 1))
             if nxt is None:
+                step = f"x_{j + 1} of type ({t.b},{t.c})"
                 e = _step_exponent(t, j)
                 try:
                     quot = _packed.positive_exact_div(cur._terms, prev._terms, e, deadline)
                 except BudgetExceeded as exc:
-                    raise BudgetExceeded(f"x_{j + 1} of type ({t.b},{t.c}): {exc}") from None
+                    raise BudgetExceeded(f"{step}: {exc}") from None
                 if quot is None:
-                    nxt = (cur ** e + 1).exact_div(prev)
-                else:
-                    nxt = LaurentPolynomial._raw(X_CONTEXT, quot)
+                    raise Inconclusive(f"{step}: the packed kernel could not certify the quotient")
+                nxt = LaurentPolynomial._raw(X_CONTEXT, quot)
                 _maybe_cache((t.b, t.c, j + 1), nxt)
             prev, cur = cur, nxt
     return cur.permute_variables({"x1": "x2", "x2": "x1"}) if mirrored else cur
@@ -196,19 +196,22 @@ def check_positivity_range(
     checks: any subset of "laurent" (every recurrence division exact),
     "positivity" (all coefficients > 0), "denominator" (entries
     nonnegative, and max-norm strictly growing away from the seed when
-    bc >= 4).  Failure is recorded with a witness, never raised.
+    bc >= 4).  Failure is recorded with a witness, never raised.  Every
+    step runs as the packed kernel, whose certificate needs positive
+    operands, so a non-positive x_k would show up as an inconclusive cell
+    (the kernel could not certify its step), not as a positivity failure.
 
     budget_seconds is checked between cells, where cells not started
     before the deadline are reported inconclusive, and inside each
     exchange step, before each block of its division, where a cell cut at
     the deadline is one inconclusive item naming the step and the block.
-    A cell's expansion overruns the deadline by at most one power, one
-    reciprocal and one block of a step (the sparse step, which runs only
-    when the packed kernel cannot prove its answer, is not bounded).  max_predicted_terms
-    skips cells whose numerator support bound exceeds it, also as
-    inconclusive.  A cell whose computation raises Inconclusive (a step
-    past the kernel's size guards or the deadline) is one inconclusive
-    item, and the sweep goes on to the next cell.  These
+    A cell overruns the deadline by at most one power, one reciprocal and
+    one block of a step; the denominator check's walk to the cell's
+    neighbour runs under the same deadline.  max_predicted_terms skips
+    cells whose numerator support bound exceeds it, also as inconclusive.
+    A cell whose computation raises Inconclusive (a step the kernel could
+    not certify, or one past its size guards or the deadline) is one
+    inconclusive item, and the sweep goes on to the next cell.  These
     guards keep a sweep honest about what it did not verify.  A NaN or
     negative budget_seconds and a negative max_predicted_terms raise
     ValueError; budget_seconds=inf means no budget.
@@ -250,9 +253,8 @@ def check_positivity_range(
                     continue
             try:
                 p = expand_in_cluster(t, k, m, deadline)
-            except NotDivisible as exc:
-                report.add(f"{cell} laurent", FAIL, f"inexact division: {exc}")
-                continue
+                if "denominator" in checks:
+                    denominator = _denominator_item(base, j, cell, p, deadline)
             except Inconclusive as exc:
                 report.add(cell, INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
                 continue
@@ -271,18 +273,22 @@ def check_positivity_range(
                         f"coefficient {witness[1]} at exponent {witness[0]}",
                     )
             if "denominator" in checks:
-                report.add(*_denominator_item(t, base, j, cell))
+                report.add(*denominator)
     return report
 
 
-def _denominator_item(t: ExchangeType, base: ExchangeType, j: int, cell: str):
-    den = d_vector(base, j)
+def _denominator_item(
+    base: ExchangeType, j: int, cell: str, p: LaurentPolynomial, deadline: float | None
+):
+    # p is x_j of type base; a neighbour over the memo's term limit is
+    # walked again, so it runs under the sweep's deadline too
+    den = p.denominator_exponents()
     if min(den) < 0:
         return f"{cell} denominator", FAIL, f"negative entry in {den}"
-    if t.b * t.c >= 4 and (j >= 3 or j <= 0):
+    if base.b * base.c >= 4 and (j >= 3 or j <= 0):
         # past the seed pair the max-norm must grow strictly, step by step
         toward_seed = j - 1 if j >= 3 else j + 1
-        prev = d_vector(base, toward_seed)
+        prev = cluster_variable(base, toward_seed, deadline).denominator_exponents()
         if max(den) <= max(prev):
             return (
                 f"{cell} denominator",

@@ -2,18 +2,20 @@ import itertools
 import re
 import time
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank2cluster import _packed
+from rank2cluster import _packed, rank2
 from rank2cluster.cli import main
 from rank2cluster.laurent import LaurentPolynomial
 from rank2cluster.quiver import NotIntegral, NotPolynomial, NotRigid
 from rank2cluster.rank2 import (
     _CACHE,
+    SWEEP_CHECKS,
     X_CONTEXT,
     Y_CONTEXT,
     ExchangeType,
@@ -160,7 +162,7 @@ def test_exchange_relation_everywhere(b, c, k):
     t = ExchangeType(b, c)
     e = t.b if k % 2 else t.c
     left = cluster_variable(t, k - 1) * cluster_variable(t, k + 1)
-    assert left == cluster_variable(t, k) ** e + 1
+    assert left == prod([cluster_variable(t, k)] * e) + 1
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(-3, 6))
@@ -170,12 +172,15 @@ def test_positivity_everywhere(b, c, k):
 
 
 def _backward_reference(t, k):
-    # x_{j-1} = (x_j^e + 1) / x_{j+1}, walked down from the seed pair
+    # x_{j-1} = (x_j^e + 1) / x_{j+1}, walked down from the seed pair; each
+    # quotient q is proven by q * x_{j+1} == x_j^e + 1 in an integral domain
     above = X({(0, 1): 1})
     cur = X({(1, 0): 1})
     for j in range(1, k, -1):
         e = t.b if j % 2 else t.c
-        above, cur = cur, (cur ** e + 1).exact_div(above)
+        below = X(_packed.positive_exact_div(dict(cur.terms), dict(above.terms), e))
+        assert below * above == prod([cur] * e) + 1, (t, j - 1)
+        above, cur = cur, below
     return cur
 
 
@@ -191,21 +196,12 @@ def test_large_wild_step_matches_modular_recurrence():
     # (3,2) x_10 ends in a packed step whose 9740-term numerator has
     # 86-digit slots (several libmpdec words each), divided by a divisor
     # long enough for Newton division, in several blocks; the kernel must
-    # answer every step, not decline to the sparse fallback
+    # answer every step, or cluster_variable raises Inconclusive
     p = 2**61 - 1
     point = (123456789, 987654321)
     t = ExchangeType(3, 2)
-    answered = []
-
-    def packed_div(base, den, e, deadline=None, kernel=_packed.positive_exact_div):
-        quot = kernel(base, den, e, deadline)
-        answered.append(quot is not None)
-        return quot
-
     clear_cache()
-    with mock.patch.object(_packed, "positive_exact_div", packed_div):
-        x10 = cluster_variable(t, 10)
-    assert answered and all(answered)
+    x10 = cluster_variable(t, 10)
     assert len(x10) == 6085
     assert x10.is_positive()
     value = sum(
@@ -218,28 +214,47 @@ def test_large_wild_step_matches_modular_recurrence():
     assert value == cur
 
 
-def test_declined_steps_take_the_sparse_step():
-    clear_cache()
-    packed = [cluster_variable(T23, k) for k in range(-4, 9)]
+@pytest.fixture
+def declining_kernel():
+    # a kernel that certifies nothing; cold memo before and after
     clear_cache()
     with mock.patch.object(_packed, "positive_exact_div", lambda base, den, e, deadline: None):
-        sparse = [cluster_variable(T23, k) for k in range(-4, 9)]
+        yield
     clear_cache()
-    assert sparse == packed
 
 
-def _sparse_step(*args):
-    raise AssertionError("a step past a size guard entered the sparse step")
+def test_declined_step_raises_inconclusive(declining_kernel):
+    # nothing proves or refutes an uncertified quotient: the step gives up,
+    # names itself, and leaves no trace in the memo
+    with pytest.raises(Inconclusive) as raised:
+        cluster_variable(T23, 5)
+    assert type(raised.value) is Inconclusive
+    assert str(raised.value) == "x_3 of type (2,3): the packed kernel could not certify the quotient"
+    assert not _CACHE
+
+
+def test_sweep_reports_declined_steps_inconclusive(declining_kernel):
+    # every cell of the grid needs at least one step (j = k - m + 1 >= 3)
+    report = check_positivity_range(T23, 3, 6, 0, 1, checks=SWEEP_CHECKS)
+    assert report.passed == 0 and report.failed == 0
+    assert report.inconclusive == len(report.items) == 8
+    assert all(it.detail.startswith("Inconclusive: x_3 of type (") for it in report.items)
+    assert report.exit_code() == 3
+
+
+def test_cli_exits_3_on_a_declined_step(declining_kernel, capsys):
+    assert main(["var", "--b", "2", "--c", "3", "--k", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("inconclusive: Inconclusive: ")
 
 
 @pytest.fixture
 def small_memory_cap():
     # a 10,000-digit cap stops (2,3) at its x_8 step (975 slots of 17
-    # digits) and (3,2) at x_8; the sparse step must not be entered
+    # digits) and (3,2) at x_8
     clear_cache()
-    with mock.patch.object(_packed, "MEMORY_CAP", 10_000), mock.patch.object(
-        LaurentPolynomial, "__pow__", _sparse_step
-    ), mock.patch.object(LaurentPolynomial, "exact_div", _sparse_step):
+    with mock.patch.object(_packed, "MEMORY_CAP", 10_000):
         yield
     clear_cache()
 
@@ -390,6 +405,35 @@ def test_no_budget_never_reads_the_clock(short_blocks):
         assert len(cluster_variable(T23, 9)) > 0
         report = check_positivity_range(T23, -3, 10, 0, 1)
     assert report.all_passed
+
+
+def test_denominator_check_steps_under_the_deadline():
+    # with the memo's term limit at 100, (2,3) x_7 (131 terms) and later
+    # variables are walked again on every request; the denominator check
+    # reads the cell's d-vector off the cell and walks to its neighbour
+    # under the sweep's deadline
+    deadlines = []
+
+    def packed_div(base, den, e, deadline=None, kernel=_packed.positive_exact_div):
+        deadlines.append(deadline)
+        return kernel(base, den, e, deadline)
+
+    def sweep(limit, checks):
+        clear_cache()
+        deadlines.clear()
+        with mock.patch.object(rank2, "_CACHE_TERM_LIMIT", limit), mock.patch.object(
+            _packed, "positive_exact_div", packed_div
+        ):
+            report = check_positivity_range(T23, 9, 9, 1, 1, checks, budget_seconds=600)
+        clear_cache()
+        assert report.all_passed
+        assert deadlines and None not in deadlines
+        return len(deadlines)
+
+    # x_7 and x_8 are walked again for the neighbour x_8 of the cell x_9
+    assert sweep(100, ("laurent", "denominator")) == sweep(100, ("laurent",)) + 2
+    # a cell over the limit whose neighbour is memoized costs no step more
+    assert sweep(1000, ("laurent", "denominator")) == sweep(1000, ("laurent",))
 
 
 def test_sweep_term_cap_skips_heavy_cells():
