@@ -12,7 +12,10 @@ for plain computations.  Subcommands that sample generic modules take
 
 A call pays only for the answer it prints: the argument parser is built
 once per process, on the first call, and with --json no text rendering
-(polynomial strings, object descriptions, report summaries) is done.
+(polynomial strings, object descriptions, report summaries) is done.  A
+polynomial's JSON text is computed once and kept on the value, so a
+memoized `var`/`expand` answer is printed from memoized text; the bytes
+are those of json.dumps(payload, sort_keys=True).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .ccmap import (
     verify_exchange_relation,
     verify_folding,
 )
+from .laurent import LaurentPolynomial
 from .quiver import ModuleSpec, euler_characteristic, kronecker_quiver
 from .rank2 import (
     SWEEP_CHECKS,
@@ -163,26 +167,32 @@ def _emit(
     report: CheckReport | None,
     text: Callable[[], str],
 ) -> None:
+    # results are polynomials or JSON-ready dicts; the envelope is written
+    # as text so that a polynomial's memoized text is not parsed or copied
+    # into a dict again
     if args.json:
-        payload = {
-            "command": args.command,
-            "results": results,
-            "report": report.to_dict() if report is not None else None,
-        }
-        print(json.dumps(payload, sort_keys=True))
+        items = ", ".join(
+            r.to_json() if isinstance(r, LaurentPolynomial) else json.dumps(r, sort_keys=True)
+            for r in results
+        )
+        report_text = json.dumps(report.to_dict() if report is not None else None, sort_keys=True)
+        print(
+            f'{{"command": {json.dumps(args.command)}, "report": {report_text}, '
+            f'"results": [{items}]}}'
+        )
     else:
         print(text())
 
 
 def _cmd_var(args: argparse.Namespace) -> int:
     p = cluster_variable(ExchangeType(args.b, args.c), args.k)
-    _emit(args, [p.to_json_dict()], None, p.__str__)
+    _emit(args, [p], None, p.__str__)
     return 0
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     p = expand_in_cluster(ExchangeType(args.b, args.c), args.k, args.m)
-    _emit(args, [p.to_json_dict()], None, p.__str__)
+    _emit(args, [p], None, p.__str__)
     return 0
 
 
@@ -223,7 +233,7 @@ def _cmd_ccmap(args: argparse.Namespace) -> int:
         lines += [f"pi(X) = {folded}" for folded in polys[1:]]
         return "\n".join(lines)
 
-    _emit(args, [p.to_json_dict() for p in polys], None, text)
+    _emit(args, polys, None, text)
     return 0
 
 

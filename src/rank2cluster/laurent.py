@@ -14,6 +14,7 @@ certified packed kernel in ``_packed``, called by ``rank2``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -55,7 +56,8 @@ class LaurentPolynomial:
     stripped.  Arithmetic is exact; operands must share a context.
     """
 
-    __slots__ = ("context", "_terms")
+    # _json holds to_json()'s text once it is first asked for
+    __slots__ = ("context", "_terms", "_json")
 
     def __init__(self, context: VariableContext, terms: Mapping[tuple[int, ...], int] | None = None):
         if not isinstance(context, VariableContext):
@@ -410,6 +412,26 @@ class LaurentPolynomial:
                 for e in sorted(self._terms)
             ],
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``, computed once.
+
+        The text is written directly, without the intermediate dicts, and
+        kept on the (immutable) value, so printing it again costs nothing.
+        """
+        try:
+            return self._json
+        except AttributeError:
+            pass
+        # ints print as JSON; names go through json for their escapes
+        terms = ", ".join(
+            f'{{"coefficient": "{self._terms[e]}", "exponents": [{", ".join(map(str, e))}]}}'
+            for e in sorted(self._terms)
+        )
+        names = ", ".join(map(json.dumps, self.context.names))
+        text = f'{{"terms": [{terms}], "variables": [{names}]}}'
+        object.__setattr__(self, "_json", text)
+        return text
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPolynomial":

@@ -46,7 +46,11 @@ class ExchangeType:
 # cluster_variable memo, keyed (b, c, k) with k >= 3: indices k <= 0 are
 # served by reflection and never stored.  Entries above the term limit are
 # recomputed on demand instead of cached; insert-only, idempotent.
+# _VIEWS holds, under the same keys, expand_in_cluster's Y_CONTEXT view of
+# each memoized entry (one object sharing its terms), so a repeated
+# expansion returns the same value and its memoized JSON text.
 _CACHE: dict[tuple[int, int, int], LaurentPolynomial] = {}
+_VIEWS: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _CACHE_TERM_LIMIT = 500_000
 
 # negated minimal exponent vectors of the seed pair (x_1, x_2)
@@ -55,6 +59,7 @@ _SEED_DELTAS = ((-1, 0), (0, -1))
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _VIEWS.clear()
 
 
 def _step_exponent(t: ExchangeType, middle: int) -> int:
@@ -119,12 +124,19 @@ def expand_in_cluster(
     exponent keyed to the parity of the true index, is the same as
     evaluating the standard family at index k - m + 1 for type (b, c) when
     m is odd and type (c, b) when m is even; that reduction shares the
-    memo cache across all offsets.  `deadline` is cluster_variable's.
+    memo cache across all offsets, and a memoized x_j is returned as the
+    same view object on every call.  `deadline` is cluster_variable's.
     """
     j = k - m + 1
     base = t if m % 2 else t.swapped
     p = cluster_variable(base, j, deadline)
-    return LaurentPolynomial._raw(Y_CONTEXT, p._terms)
+    key = (base.b, base.c, j)
+    view = _VIEWS.get(key)
+    if view is None:
+        view = LaurentPolynomial._raw(Y_CONTEXT, p._terms)
+        if _CACHE.get(key) is p:
+            _VIEWS[key] = view
+    return view
 
 
 def d_vector(t: ExchangeType, k: int) -> tuple[int, int]:
@@ -194,12 +206,14 @@ def check_positivity_range(
     """Expand x_k in every cluster (x_m, x_{m+1}) of the grid and check it.
 
     checks: any subset of "laurent" (every recurrence division exact),
-    "positivity" (all coefficients > 0), "denominator" (entries
-    nonnegative, and max-norm strictly growing away from the seed when
-    bc >= 4).  Failure is recorded with a witness, never raised.  Every
-    step runs as the packed kernel, whose certificate needs positive
-    operands, so a non-positive x_k would show up as an inconclusive cell
-    (the kernel could not certify its step), not as a positivity failure.
+    "positivity" (all coefficients > 0), "denominator" (off the seed pair,
+    every entry of the unclamped d-vector, the negated minimal exponents,
+    nonnegative; and the max-norm of the clamped one strictly growing away
+    from the seed when bc >= 4).  Failure is recorded with a witness, never
+    raised.  Every step runs as the packed kernel, whose certificate needs
+    positive operands, so a non-positive x_k would show up as an
+    inconclusive cell (the kernel could not certify its step), not as a
+    positivity failure.
 
     budget_seconds is checked between cells, where cells not started
     before the deadline are reported inconclusive, and inside each
@@ -281,10 +295,13 @@ def _denominator_item(
     base: ExchangeType, j: int, cell: str, p: LaurentPolynomial, deadline: float | None
 ):
     # p is x_j of type base; a neighbour over the memo's term limit is
-    # walked again, so it runs under the sweep's deadline too
-    den = p.denominator_exponents()
-    if min(den) < 0:
-        return f"{cell} denominator", FAIL, f"negative entry in {den}"
+    # walked again, so it runs under the sweep's deadline too.  Off the
+    # seed pair the negated minimal exponents, unclamped, are the d-vector,
+    # and a non-initial variable's is nonnegative.
+    delta = tuple(-min(column) for column in zip(*p.terms))
+    if j not in (1, 2) and min(delta) < 0:
+        return f"{cell} denominator", FAIL, f"negative entry in d-vector {delta}"
+    den = tuple(max(0, x) for x in delta)
     if base.b * base.c >= 4 and (j >= 3 or j <= 0):
         # past the seed pair the max-norm must grow strictly, step by step
         toward_seed = j - 1 if j >= 3 else j + 1

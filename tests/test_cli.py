@@ -259,6 +259,58 @@ def test_json_output_is_byte_deterministic(capsys):
     assert json.dumps(json.loads(first), sort_keys=True) + "\n" == first
 
 
+MEMO_QUERIES = [
+    ("var", "--b", "2", "--c", "3", "--k", "7"),
+    ("var", "--b", "2", "--c", "3", "--k", "-3"),
+    ("expand", "--b", "3", "--c", "2", "--k", "6", "--m", "1"),
+    ("expand", "--b", "3", "--c", "2", "--k", "6", "--m", "2"),
+    ("ccmap", "--b", "2", "--c", "3", "--k", "-2", "--fold"),
+    ("sweep", "--b", "2", "--c", "2", "--k-min", "-2", "--k-max", "4",
+     "--m-min", "-1", "--m-max", "1", "--check", "laurent,positivity,denominator"),
+    ("period", "--b", "1", "--c", "2", "--max", "7"),
+    ("euler", "--b", "2", "--c", "3", "--module", "Pv", "--sub", "1,0,1,1,1"),
+]
+
+
+@pytest.mark.parametrize("query", MEMO_QUERIES, ids=lambda q: "_".join(q).replace("--", ""))
+def test_json_is_canonical_and_unchanged_by_the_memo(capsys, query):
+    # the cold call, the memo hit and the call after clear_cache print the
+    # same canonical bytes: keys sorted, default separators, one line
+    outputs = []
+    for clear in (True, False, True):
+        if clear:
+            rank2cluster.rank2.clear_cache()
+        code, out, err = run(capsys, *query, "--json")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    for line in outputs[0].splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+def test_memo_hit_prints_memoized_text(capsys, monkeypatch):
+    printed = []
+    original = LaurentPolynomial.to_json
+
+    def spy(self):
+        text = original(self)
+        printed.append(text)
+        return text
+
+    def forbidden(self):
+        raise AssertionError("the CLI serialized through to_json_dict")
+
+    monkeypatch.setattr(LaurentPolynomial, "to_json", spy)
+    monkeypatch.setattr(LaurentPolynomial, "to_json_dict", forbidden)
+    for query in MEMO_QUERIES[0], MEMO_QUERIES[2], MEMO_QUERIES[3]:
+        rank2cluster.rank2.clear_cache()
+        first = run(capsys, *query, "--json")[1]
+        second = run(capsys, *query, "--json")[1]
+        assert first == second
+        # a repeated hit prints the very str the first call built
+        assert printed[-1] is printed[-2]
+
+
 def test_json_renders_no_text(capsys, monkeypatch):
     rendered = []
 

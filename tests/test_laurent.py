@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank2cluster import _packed
@@ -329,6 +329,32 @@ def test_ring_axioms(a, b, c):
 def test_json_roundtrip(p):
     d = json.loads(json.dumps(p.to_json_dict()))
     assert LaurentPolynomial.from_json_dict(d) == p
+
+
+# names with a quote, a backslash or non-ASCII text need JSON escapes
+json_names = st.sampled_from(['"', "\\", "é", "x\u2603", "a\"b\\c"]) | st.text(
+    min_size=1, max_size=3
+)
+json_coeffs = st.integers(-9, 9) | st.integers(-(10 ** 60), 10 ** 60)
+
+
+@st.composite
+def json_polys(draw):
+    arity = draw(st.integers(1, 3))
+    names = draw(st.lists(json_names, min_size=arity, max_size=arity, unique=True))
+    exponents = st.tuples(*[st.integers(-5, 5)] * arity)
+    terms = draw(st.dictionaries(exponents, json_coeffs, max_size=8))
+    return LaurentPolynomial(VariableContext(names), terms)
+
+
+@given(json_polys())
+@example(LaurentPolynomial.zero(VariableContext(['"', "\\", "é"])))
+def test_to_json_matches_the_reference(p):
+    text = p.to_json()
+    assert text == json.dumps(p.to_json_dict(), sort_keys=True)
+    assert LaurentPolynomial.from_json_dict(json.loads(text)) == p
+    # computed once: the value keeps its text
+    assert p.to_json() is text
 
 
 @given(polys(), polys(), st.integers(1, 5), st.integers(1, 5))

@@ -117,6 +117,23 @@ def test_expand_even_offset_swaps_exponent_pattern():
     assert expand_in_cluster(T23, 3, 1) == Y({(-1, 0): 1, (-1, 3): 1})
 
 
+def test_expand_returns_one_view_per_memoized_variable():
+    clear_cache()
+    # x_6 in (x_1, x_2) and in (x_3, x_4) is x_6 and x_4 of type (2,3)
+    for k, m in ((6, 1), (6, 3)):
+        view = expand_in_cluster(T23, k, m)
+        assert expand_in_cluster(T23, k, m) is view
+        assert view.context == Y_CONTEXT
+        assert view._terms is cluster_variable(T23, k - m + 1)._terms
+    # mirrored values (k - m + 1 <= 0) and the seed pair are not kept
+    assert expand_in_cluster(T23, 0, 2) is not expand_in_cluster(T23, 0, 2)
+    assert expand_in_cluster(T23, 2, 2) is not expand_in_cluster(T23, 2, 2)
+    assert set(rank2._VIEWS) <= set(_CACHE)
+    clear_cache()
+    assert not rank2._VIEWS
+    assert expand_in_cluster(T23, 6, 3) is not view
+
+
 def test_expand_agrees_with_seed_expansion():
     assert expand_in_cluster(T23, 4, 1)._terms == cluster_variable(T23, 4)._terms
 
@@ -334,6 +351,19 @@ def test_sweep_small_grid_all_pass():
 def test_sweep_denominator_check():
     report = check_positivity_range(T23, -4, 6, 0, 0, checks=("denominator",))
     assert report.all_passed
+
+
+def test_denominator_check_fails_a_positive_minimal_exponent():
+    # y1 * (1 + y2^2) / y2 has d-vector (-1, 1): an entry below 0 that the
+    # clamped denominator exponents (0, 1) would hide
+    p = Y({(1, -1): 1, (1, 1): 1})
+    assert p.denominator_exponents() == (0, 1)
+    cell, status, detail = rank2._denominator_item(T11, 4, "k=4 m=1", p, None)
+    assert (cell, status) == ("k=4 m=1 denominator", FAIL)
+    assert detail == "negative entry in d-vector (-1, 1)"
+    # on the seed pair the d-vector is (-1, 0) or (0, -1) by definition
+    y2 = Y({(0, 1): 1})
+    assert rank2._denominator_item(T11, 2, "k=2 m=1", y2, None)[1] == PASS
 
 
 def test_sweep_budget_reports_inconclusive():
