@@ -314,16 +314,22 @@ class LaurentPolynomial:
         """True iff every stored coefficient is > 0 (vacuously true for 0)."""
         return all(c > 0 for c in self._terms.values())
 
+    def min_exponents(self) -> tuple[int, ...]:
+        """Entry i is the minimum exponent of variable i over all terms.
+
+        The zero polynomial has no terms and raises ValueError.
+        """
+        if not self._terms:
+            raise ValueError("the zero polynomial has no denominator")
+        return tuple(min(column) for column in zip(*self._terms))
+
     def denominator_exponents(self) -> tuple[int, ...]:
         """Exponent vector of the monomial denominator in N / monomial form.
 
         Entry i is max(0, -(minimum exponent of variable i)); the zero
         polynomial has no such form and raises ValueError.
         """
-        if not self._terms:
-            raise ValueError("the zero polynomial has no denominator")
-        n = self.context.arity
-        return tuple(max(0, -min(e[i] for e in self._terms)) for i in range(n))
+        return tuple(max(0, -e) for e in self.min_exponents())
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point with all coordinates nonzero.

@@ -48,7 +48,10 @@ class ExchangeType:
 # recomputed on demand instead of cached; insert-only, idempotent.
 # _VIEWS holds, under the same keys, expand_in_cluster's Y_CONTEXT view of
 # each memoized entry (one object sharing its terms), so a repeated
-# expansion returns the same value and its memoized JSON text.
+# expansion returns the same value and its memoized JSON text.  Each text
+# is kept as long as its entry, and an entry printed by both var and
+# expand holds two, one per context; the term limit bounds each entry,
+# not the sum of the texts.
 _CACHE: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _VIEWS: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _CACHE_TERM_LIMIT = 500_000
@@ -206,10 +209,10 @@ def check_positivity_range(
     """Expand x_k in every cluster (x_m, x_{m+1}) of the grid and check it.
 
     checks: any subset of "laurent" (every recurrence division exact),
-    "positivity" (all coefficients > 0), "denominator" (off the seed pair,
-    every entry of the unclamped d-vector, the negated minimal exponents,
-    nonnegative; and the max-norm of the clamped one strictly growing away
-    from the seed when bc >= 4).  Failure is recorded with a witness, never
+    "positivity" (all coefficients > 0), "denominator" (unless x_k is y1 or
+    y2, every entry of the unclamped d-vector, the negated minimal
+    exponents, nonnegative; and the max-norm of the clamped one strictly
+    growing away from the seed when bc >= 4).  Failure is recorded with a witness, never
     raised.  Every step runs as the packed kernel, whose certificate needs
     positive operands, so a non-positive x_k would show up as an
     inconclusive cell (the kernel could not certify its step), not as a
@@ -295,13 +298,16 @@ def _denominator_item(
     base: ExchangeType, j: int, cell: str, p: LaurentPolynomial, deadline: float | None
 ):
     # p is x_j of type base; a neighbour over the memo's term limit is
-    # walked again, so it runs under the sweep's deadline too.  Off the
-    # seed pair the negated minimal exponents, unclamped, are the d-vector,
-    # and a non-initial variable's is nonnegative.
-    delta = tuple(-min(column) for column in zip(*p.terms))
-    if j not in (1, 2) and min(delta) < 0:
-        return f"{cell} denominator", FAIL, f"negative entry in d-vector {delta}"
-    den = tuple(max(0, x) for x in delta)
+    # walked again, so it runs under the sweep's deadline too.  The negated
+    # minimal exponents, unclamped, are the d-vector, and a cluster variable
+    # that is not an initial one has it nonnegative.  Finite types come back
+    # to y1 or y2 at other indices than the seed pair, so the initial ones
+    # are recognised by value, not by j.
+    if not _is_initial(p):
+        delta = tuple(-e for e in p.min_exponents())
+        if min(delta) < 0:
+            return f"{cell} denominator", FAIL, f"negative entry in d-vector {delta}"
+    den = p.denominator_exponents()
     if base.b * base.c >= 4 and (j >= 3 or j <= 0):
         # past the seed pair the max-norm must grow strictly, step by step
         toward_seed = j - 1 if j >= 3 else j + 1
@@ -313,3 +319,8 @@ def _denominator_item(
                 f"max-norm {max(den)} did not grow past {max(prev)}",
             )
     return f"{cell} denominator", PASS, f"d-vector {den}"
+
+
+def _is_initial(p: LaurentPolynomial) -> bool:
+    # y1 or y2: one term, coefficient 1, at a unit exponent vector
+    return len(p) == 1 and next(iter(p.terms.items())) in (((1, 0), 1), ((0, 1), 1))

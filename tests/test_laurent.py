@@ -244,6 +244,8 @@ def test_denominator_exponents():
     assert xm1.denominator_exponents() == (1, 3)
     assert x1().denominator_exponents() == (0, 0)
     assert P({(-1, 0): 1, (-1, 3): 1}).denominator_exponents() == (1, 0)
+    assert P({(-1, 0): 1, (-1, 3): 1}).min_exponents() == (-1, 0)
+    assert x1().min_exponents() == (1, 0)
     with pytest.raises(ValueError):
         LaurentPolynomial.zero(X).denominator_exponents()
 

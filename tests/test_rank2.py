@@ -353,6 +353,16 @@ def test_sweep_denominator_check():
     assert report.all_passed
 
 
+@pytest.mark.parametrize("b, c", [(1, 1), (1, 2), (1, 3)])
+def test_sweep_denominator_check_on_finite_types(b, c):
+    # periods 5, 6 and 8: y1 and y2 come back at indices off the seed pair,
+    # on both sides of it, and in clusters of both parities
+    report = check_positivity_range(
+        ExchangeType(b, c), -9, 10, 0, 1, checks=("denominator",)
+    )
+    assert report.all_passed and report.passed == 40
+
+
 def test_denominator_check_fails_a_positive_minimal_exponent():
     # y1 * (1 + y2^2) / y2 has d-vector (-1, 1): an entry below 0 that the
     # clamped denominator exponents (0, 1) would hide
@@ -361,9 +371,13 @@ def test_denominator_check_fails_a_positive_minimal_exponent():
     cell, status, detail = rank2._denominator_item(T11, 4, "k=4 m=1", p, None)
     assert (cell, status) == ("k=4 m=1 denominator", FAIL)
     assert detail == "negative entry in d-vector (-1, 1)"
-    # on the seed pair the d-vector is (-1, 0) or (0, -1) by definition
+    # an initial variable has d-vector (-1, 0) or (0, -1) by definition,
+    # at whatever index it comes back; any other monomial fails
     y2 = Y({(0, 1): 1})
     assert rank2._denominator_item(T11, 2, "k=2 m=1", y2, None)[1] == PASS
+    assert rank2._denominator_item(T11, 7, "k=7 m=1", y2, None)[1] == PASS
+    for q in (Y({(2, 0): 1}), Y({(0, 1): 2})):
+        assert rank2._denominator_item(T11, 7, "k=7 m=1", q, None)[1] == FAIL
 
 
 def test_sweep_budget_reports_inconclusive():
