@@ -16,10 +16,11 @@ nearly all their time in these steps, so running them on a subquadratic
 big-number library is worth the bookkeeping.
 
 The slots are first one digit wider than any operand or numerator
-coefficient, which packs the numerator without carries, and the carry
-bound is checked on the quotient found.  Only when that bound fails is
-the step divided again at a width bounded ahead of time, where a true
-quotient always passes.
+coefficient, which packs the numerator without carries, and a carry
+bound, the smallest of four bounds on every coefficient sum of the
+product quotient * divisor, is checked on the quotient found.  Only when
+that bound fails is the step divided again at a width bounded ahead of
+time, where a true quotient always passes.
 
 The packed numbers are ``gmpy2.mpz`` when gmpy2 is importable and
 ``decimal.Decimal`` otherwise.  CPython's ``decimal`` is libmpdec, which
@@ -59,7 +60,7 @@ from __future__ import annotations
 import decimal
 import sys
 import time
-from math import gcd
+from math import gcd, isqrt
 
 from .report import BudgetExceeded
 
@@ -357,15 +358,34 @@ def positive_exact_div(
             return None
         # Certificate: if quot*den stays inside the numerator box, so that
         # no slot wraps into the next row, and every convolution sum stays
-        # below the slot modulus, then q*pd is the packing of quot*den digit
-        # for digit, and the integer identity is the polynomial identity.  A
-        # true quotient always passes at the wide width (its support is a
-        # Minkowski summand of the numerator's, and its coefficients are
-        # bounded by max_n, by pairing against the divisor's minimal
-        # corner).  A zero remainder on a nonzero numerator leaves a nonzero
+        # below the slot modulus (_carry_bounded), then q*pd is the packing
+        # of quot*den digit for digit, and the integer identity is the
+        # polynomial identity.  A true quotient always passes at the wide
+        # width (its support is a Minkowski summand of the numerator's, and
+        # its coefficients are bounded by max_n, by pairing against the
+        # divisor's minimal corner, so the first of the four bounds holds
+        # there).  A zero remainder on a nonzero numerator leaves a nonzero
         # quotient, so quot has terms.
         if any(max(x[i] for x in quot) + maxs_d[i] > maxs_n[i] for i in range(n)):
             return None
-        if min(len(quot), len(den)) * max(quot.values()) * max_d < 10 ** width:
+        if _carry_bounded(quot, den, 10 ** width):
             return quot
     return None
+
+
+def _carry_bounded(quot: dict, den: dict, modulus: int) -> bool:
+    """Whether every convolution sum of quot * den is below `modulus`.
+
+    Both have positive coefficients, so each sum is at most each of
+    min(len(quot), len(den)) * max(quot) * max(den), max(quot) * sum(den),
+    sum(quot) * max(den) and, by Cauchy-Schwarz, isqrt(sum(quot**2) *
+    sum(den**2)) + 1; the smallest decides, and they are tried cheapest
+    first.
+    """
+    max_q, max_d = max(quot.values()), max(den.values())
+    if min(len(quot), len(den)) * max_q * max_d < modulus:
+        return True
+    if min(max_q * sum(den.values()), sum(quot.values()) * max_d) < modulus:
+        return True
+    squares = sum(c * c for c in quot.values()) * sum(c * c for c in den.values())
+    return isqrt(squares) + 1 < modulus

@@ -11,11 +11,12 @@ for plain computations.  Subcommands that sample generic modules take
 --seed (default 0).
 
 A call pays only for the answer it prints: the argument parser is built
-once per process, on the first call, and with --json no text rendering
-(polynomial strings, object descriptions, report summaries) is done.  A
-polynomial's JSON text is computed once and kept on the value, so a
-memoized `var`/`expand` answer is printed from memoized text; the bytes
-are those of json.dumps(payload, sort_keys=True).
+once per process, on the first call, a repeated argv is not parsed
+again, and with --json no text rendering (polynomial strings, object
+descriptions, report summaries) is done.  A polynomial's JSON text is
+computed once and kept on the value, so a memoized `var`/`expand` answer,
+mirrored indices included, is printed from memoized text; the bytes are
+those of json.dumps(payload, sort_keys=True).
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ from .rank2 import (
 from .report import CheckReport, Inconclusive
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+def _int_list(text: str) -> tuple[int, ...]:
+    # a tuple, so a memoized parse holds no value a command could change
+    return tuple(int(x) for x in text.split(","))
 
 
 def _check_list(text: str) -> tuple[str, ...]:
@@ -203,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.k_max,
         args.m_min,
         args.m_max,
-        checks=tuple(args.check),
+        checks=args.check,
         budget_seconds=args.budget_seconds,
         max_predicted_terms=args.max_terms,
     )
@@ -261,7 +263,7 @@ def _module_spec_for(args: argparse.Namespace) -> ModuleSpec:
     if args.module == "generic":
         if args.dim is None:
             raise ValueError("--dim is required for a generic module")
-        return ModuleSpec(Q, "generic", dims=tuple(args.dim))
+        return ModuleSpec(Q, "generic", dims=args.dim)
     if args.dim is not None:
         raise ValueError("--dim applies only to generic modules")
     kind = {"P": "projective", "I": "injective", "S": "simple"}[args.module[0]]
@@ -271,7 +273,7 @@ def _module_spec_for(args: argparse.Namespace) -> ModuleSpec:
 
 def _cmd_euler(args: argparse.Namespace) -> int:
     spec = _module_spec_for(args)
-    chi = euler_characteristic(spec, tuple(args.sub), seed=args.seed)
+    chi = euler_characteristic(spec, args.sub, seed=args.seed)
     result = {
         "chi": chi,
         "dims": list(spec.dimension_vector),
@@ -294,8 +296,16 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse(argv: tuple[str, ...]) -> dict:
+    # main copies the dict into a fresh Namespace, and every value is
+    # immutable (ints, strings, tuples), so no call can change another's
+    # arguments; a usage error raises SystemExit, which is never cached
+    return vars(_build_parser().parse_args(argv))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = argparse.Namespace(**_parse(tuple(sys.argv[1:] if argv is None else argv)))
     try:
         return _COMMANDS[args.command](args)
     except Inconclusive as exc:

@@ -43,16 +43,20 @@ class ExchangeType:
         return ExchangeType(self.c, self.b)
 
 
-# cluster_variable memo, keyed (b, c, k) with k >= 3: indices k <= 0 are
-# served by reflection and never stored.  Entries above the term limit are
-# recomputed on demand instead of cached; insert-only, idempotent.
-# _VIEWS holds, under the same keys, expand_in_cluster's Y_CONTEXT view of
-# each memoized entry (one object sharing its terms), so a repeated
-# expansion returns the same value and its memoized JSON text.  Each text
-# is kept as long as its entry, and an entry printed by both var and
-# expand holds two, one per context; the term limit bounds each entry,
-# not the sum of the texts.
+# cluster_variable memo, keyed (b, c, k) with k >= 3.  Entries above the
+# term limit are recomputed on demand instead of cached; insert-only,
+# idempotent.  _MIRRORS holds, keyed (b, c, k) with k <= 0, the mirror
+# image of x_{3-k} of type (c, b), kept only when that source is a
+# _CACHE entry, so the term limit bounds it too; a mirror permutes a
+# memoized value and is not a computed step, so it never goes through
+# _maybe_cache.  _VIEWS holds, under the keys of both tables,
+# expand_in_cluster's Y_CONTEXT view of each memoized value (one object
+# sharing its terms), so a repeated expansion returns the same value and
+# its memoized JSON text.  Each text is kept as long as its value, and a
+# value printed by both var and expand holds two, one per context; the
+# term limit bounds each entry, not the sum of the texts.
 _CACHE: dict[tuple[int, int, int], LaurentPolynomial] = {}
+_MIRRORS: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _VIEWS: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _CACHE_TERM_LIMIT = 500_000
 
@@ -62,6 +66,7 @@ _SEED_DELTAS = ((-1, 0), (0, -1))
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _MIRRORS.clear()
     _VIEWS.clear()
 
 
@@ -92,10 +97,15 @@ def cluster_variable(
     BudgetExceeded naming the step and the block; the deadline is
     overrun by at most one power, one reciprocal and one block.  Nothing
     of a step that raises is memoized.  An index k <= 0 is the mirror
-    image of x_{3-k} of type (c, b) with x1 and x2 swapped.
+    image of x_{3-k} of type (c, b) with x1 and x2 swapped, memoized
+    whenever x_{3-k} is.
     """
     mirrored = k <= 0
     if mirrored:
+        key = (t.b, t.c, k)
+        mirror = _MIRRORS.get(key)
+        if mirror is not None:
+            return mirror
         t, k = t.swapped, 3 - k
     cur = _CACHE.get((t.b, t.c, k))
     if cur is None:
@@ -115,7 +125,12 @@ def cluster_variable(
                 nxt = LaurentPolynomial._raw(X_CONTEXT, quot)
                 _maybe_cache((t.b, t.c, j + 1), nxt)
             prev, cur = cur, nxt
-    return cur.permute_variables({"x1": "x2", "x2": "x1"}) if mirrored else cur
+    if not mirrored:
+        return cur
+    mirror = cur.permute_variables({"x1": "x2", "x2": "x1"})
+    if _CACHE.get((t.b, t.c, k)) is cur:
+        _MIRRORS[key] = mirror
+    return mirror
 
 
 def expand_in_cluster(
@@ -127,8 +142,9 @@ def expand_in_cluster(
     exponent keyed to the parity of the true index, is the same as
     evaluating the standard family at index k - m + 1 for type (b, c) when
     m is odd and type (c, b) when m is even; that reduction shares the
-    memo cache across all offsets, and a memoized x_j is returned as the
-    same view object on every call.  `deadline` is cluster_variable's.
+    memo cache across all offsets, and a memoized x_j, mirrored or not, is
+    returned as the same view object on every call.  `deadline` is
+    cluster_variable's.
     """
     j = k - m + 1
     base = t if m % 2 else t.swapped
@@ -137,7 +153,7 @@ def expand_in_cluster(
     view = _VIEWS.get(key)
     if view is None:
         view = LaurentPolynomial._raw(Y_CONTEXT, p._terms)
-        if _CACHE.get(key) is p:
+        if _CACHE.get(key) is p or _MIRRORS.get(key) is p:
             _VIEWS[key] = view
     return view
 
@@ -211,9 +227,11 @@ def check_positivity_range(
     checks: any subset of "laurent" (every recurrence division exact),
     "positivity" (all coefficients > 0), "denominator" (unless x_k is y1 or
     y2, every entry of the unclamped d-vector, the negated minimal
-    exponents, nonnegative; and the max-norm of the clamped one strictly
-    growing away from the seed when bc >= 4).  Failure is recorded with a witness, never
-    raised.  Every step runs as the packed kernel, whose certificate needs
+    exponents, nonnegative; and, when bc >= 4, the max-norm of the clamped
+    one strictly greater than that of x_{k-2}, or x_{k+2} when k < m, one
+    Coxeter step closer to the cluster: on b = 1 or c = 1 it need not
+    grow at every single step).  Failure is recorded with a witness,
+    never raised.  Every step runs as the packed kernel, whose certificate needs
     positive operands, so a non-positive x_k would show up as an
     inconclusive cell (the kernel could not certify its step), not as a
     positivity failure.
@@ -223,9 +241,9 @@ def check_positivity_range(
     exchange step, before each block of its division, where a cell cut at
     the deadline is one inconclusive item naming the step and the block.
     A cell overruns the deadline by at most one power, one reciprocal and
-    one block of a step; the denominator check's walk to the cell's
-    neighbour runs under the same deadline.  max_predicted_terms skips
-    cells whose numerator support bound exceeds it, also as inconclusive.
+    one block of a step; the denominator check's walk to x_{k-2} or
+    x_{k+2} runs under the same deadline.  max_predicted_terms skips cells
+    whose numerator support bound exceeds it, also as inconclusive.
     A cell whose computation raises Inconclusive (a step the kernel could
     not certify, or one past its size guards or the deadline) is one
     inconclusive item, and the sweep goes on to the next cell.  These
@@ -297,20 +315,21 @@ def check_positivity_range(
 def _denominator_item(
     base: ExchangeType, j: int, cell: str, p: LaurentPolynomial, deadline: float | None
 ):
-    # p is x_j of type base; a neighbour over the memo's term limit is
-    # walked again, so it runs under the sweep's deadline too.  The negated
-    # minimal exponents, unclamped, are the d-vector, and a cluster variable
-    # that is not an initial one has it nonnegative.  Finite types come back
-    # to y1 or y2 at other indices than the seed pair, so the initial ones
-    # are recognised by value, not by j.
+    # p is x_j of type base; x_{j-2} (x_{j+2} when j <= 0) over the memo's
+    # term limit is walked again, so it runs under the sweep's deadline
+    # too.  The negated minimal exponents, unclamped, are the d-vector, and
+    # a cluster variable that is not an initial one has it nonnegative.
+    # Finite types come back to y1 or y2 at other indices than the seed
+    # pair, so the initial ones are recognised by value, not by j.
     if not _is_initial(p):
         delta = tuple(-e for e in p.min_exponents())
         if min(delta) < 0:
             return f"{cell} denominator", FAIL, f"negative entry in d-vector {delta}"
     den = p.denominator_exponents()
     if base.b * base.c >= 4 and (j >= 3 or j <= 0):
-        # past the seed pair the max-norm must grow strictly, step by step
-        toward_seed = j - 1 if j >= 3 else j + 1
+        # past the seed pair the max-norm must grow strictly over each
+        # Coxeter step, two indices toward the seed
+        toward_seed = j - 2 if j >= 3 else j + 2
         prev = cluster_variable(base, toward_seed, deadline).denominator_exponents()
         if max(den) <= max(prev):
             return (

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rank2cluster
+from rank2cluster import cli
 from rank2cluster.cli import main
 from rank2cluster.laurent import LaurentPolynomial
 from rank2cluster.report import CheckReport
@@ -215,6 +216,59 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert info.value.code == 2
     capsys.readouterr()
     assert run(capsys, *query) == before
+
+
+def _count_parses(monkeypatch):
+    parses = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counting(self, args=None, namespace=None):
+        parses.append(tuple(args))
+        return parse_args(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    cli._parse.cache_clear()
+    return parses
+
+
+def test_repeated_argv_is_parsed_once(capsys, monkeypatch):
+    parses = _count_parses(monkeypatch)
+    seen = []
+
+    def spy(args, command=cli._cmd_euler):
+        # a command that changes its arguments changes no later call's
+        seen.append((args, args.sub))
+        code = command(args)
+        args.sub, args.b = (9,), -1
+        return code
+
+    monkeypatch.setitem(cli._COMMANDS, "euler", spy)
+    query = ("euler", "--b", "2", "--c", "3", "--module", "Pv", "--sub", "1,0,1,1,1", "--json")
+    first = run(capsys, *query)
+    assert run(capsys, *query) == first and first[0] == 0
+    assert parses == [query]
+    assert seen[0][0] is not seen[1][0]
+    assert seen[0][1] == seen[1][1] == (1, 0, 1, 1, 1)
+    assert (seen[1][0].b, seen[1][0].sub) == (-1, (9,))
+
+
+def test_repeated_bad_argv_exits_2_every_time(capsys, monkeypatch):
+    parses = _count_parses(monkeypatch)
+    bad = ["var", "--b", "2", "--c", "3", "--k", "x"]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rank2cluster var") and "invalid int value: 'x'" in err
+    assert parses == [tuple(bad)] * 2
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    for k, golden in (("-1", GOLDEN_XM1), ("3", "(1 + x2^3) / x1")):
+        monkeypatch.setattr(sys, "argv", ["rank2cluster", "var", "--b", "2", "--c", "3", "--k", k])
+        assert main() == 0
+        assert capsys.readouterr().out.strip() == golden
 
 
 def test_verify_empty_range_rejected(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rank2cluster import _packed
 from rank2cluster.laurent import LaurentPolynomial, VariableContext
+from rank2cluster.rank2 import ExchangeType, cluster_variable
 from rank2cluster.report import BudgetExceeded
 
 X = VariableContext(("x1", "x2"))
@@ -690,3 +691,44 @@ def test_packed_div_retries_at_the_wide_width():
     with mock.patch.object(_packed, "_pack", pack):
         assert _packed.positive_exact_div(base, den, 1) == quot
     assert packs == [7, 7, 9, 9]
+
+
+def test_packed_div_certifies_with_the_smallest_carry_bound():
+    # The (5,1) x_11 step divides x_10 + 1 (1,591 terms) by x_9 (136
+    # terms) at 32-digit slots.  min(len) * max * max has 33 digits there,
+    # but a sum bound is below 10**32, so the step packs only at the narrow
+    # width and is not divided again at the wide one.
+    t = ExchangeType(5, 1)
+    base, den = cluster_variable(t, 10)._terms, cluster_variable(t, 9)._terms
+    packs = []
+
+    def pack(terms, mins, steps, strides, width, pack=_packed._pack):
+        packs.append(width)
+        return pack(terms, mins, steps, strides, width)
+
+    with mock.patch.object(_packed, "_pack", pack):
+        quot = _packed.positive_exact_div(base, den, 1)
+    assert packs == [32, 32]
+    assert quot == cluster_variable(t, 11)._terms
+    modulus = 10**32
+    assert min(len(quot), len(den)) * max(quot.values()) * max(den.values()) >= modulus
+    assert _packed._carry_bounded(quot, den, modulus)
+
+
+_POSITIVE_TERMS = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(1, 10**6),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(_POSITIVE_TERMS, _POSITIVE_TERMS)
+@settings(max_examples=200, deadline=None)
+def test_carry_bound_is_a_certificate(quot, den):
+    # no bound may certify a modulus that the largest product coefficient
+    # reaches, and one above every bound is always certified
+    largest = max(_convolve(quot, den).values())
+    assert not _packed._carry_bounded(quot, den, largest)
+    bound = min(len(quot), len(den)) * max(quot.values()) * max(den.values())
+    assert _packed._carry_bounded(quot, den, bound + 1)

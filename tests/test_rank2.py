@@ -125,13 +125,50 @@ def test_expand_returns_one_view_per_memoized_variable():
         assert expand_in_cluster(T23, k, m) is view
         assert view.context == Y_CONTEXT
         assert view._terms is cluster_variable(T23, k - m + 1)._terms
-    # mirrored values (k - m + 1 <= 0) and the seed pair are not kept
-    assert expand_in_cluster(T23, 0, 2) is not expand_in_cluster(T23, 0, 2)
+    # mirrored values (k - m + 1 <= 0) are kept too, the seed pair is not
+    view = expand_in_cluster(T23, 0, 2)
+    assert expand_in_cluster(T23, 0, 2) is view
+    assert view._terms is cluster_variable(T23.swapped, -1)._terms
     assert expand_in_cluster(T23, 2, 2) is not expand_in_cluster(T23, 2, 2)
-    assert set(rank2._VIEWS) <= set(_CACHE)
+    assert set(rank2._VIEWS) <= set(_CACHE) | set(rank2._MIRRORS)
     clear_cache()
     assert not rank2._VIEWS
     assert expand_in_cluster(T23, 6, 3) is not view
+
+
+def test_mirrored_values_are_memoized():
+    clear_cache()
+    # x_-4 of (2,3) mirrors x_7 of (3,2); x_-4 in (x_2, x_3) is x_-5 of
+    # (3,2), which mirrors x_8 of (2,3)
+    p = cluster_variable(T23, -4)
+    assert cluster_variable(T23, -4) is p
+    assert cluster_variable(T23, -4).to_json() is p.to_json()
+    view = expand_in_cluster(T23, -4, 2)
+    assert expand_in_cluster(T23, -4, 2) is view
+    assert expand_in_cluster(T23, -4, 2).to_json() is view.to_json()
+    assert set(rank2._MIRRORS) == {(2, 3, -4), (3, 2, -5)}
+    assert rank2._MIRRORS[2, 3, -4] is p
+    assert all(k >= 3 for _, _, k in _CACHE)
+    # a mirror is not a computed step: the memo holds only the walks
+    assert set(_CACHE) == {(3, 2, k) for k in range(3, 8)} | {(2, 3, k) for k in range(3, 9)}
+    clear_cache()
+    assert not _CACHE and not rank2._MIRRORS and not rank2._VIEWS
+    assert cluster_variable(T23, -4) is not p and cluster_variable(T23, -4) == p
+
+
+def test_mirror_of_a_value_over_the_term_limit_is_not_kept():
+    clear_cache()
+    # x_-4 of (2,3) mirrors x_7 of (3,2), which has 91 terms
+    with mock.patch.object(rank2, "_CACHE_TERM_LIMIT", 90):
+        p = cluster_variable(T23, -4)
+        q = cluster_variable(T23, -4)
+        view = expand_in_cluster(T23, -4, 1)
+        assert expand_in_cluster(T23, -4, 1) is not view
+    assert p == q and p is not q
+    assert view._terms == p._terms and view.context == Y_CONTEXT
+    assert (3, 2, 7) not in _CACHE
+    assert not rank2._MIRRORS and not rank2._VIEWS
+    clear_cache()
 
 
 def test_expand_agrees_with_seed_expansion():
@@ -363,6 +400,32 @@ def test_sweep_denominator_check_on_finite_types(b, c):
     assert report.all_passed and report.passed == 40
 
 
+@pytest.mark.parametrize("b, c", [(1, 4), (4, 1), (1, 5), (5, 1)])
+def test_sweep_denominator_check_on_b_or_c_one(b, c):
+    # on these types the max-norm of the d-vector does not grow at every
+    # single step (x_6 of (1,4) has (2, 3), x_5 has (3, 4)), only over each
+    # Coxeter step of two
+    report = check_positivity_range(
+        ExchangeType(b, c), -6, 8, -2, 2, checks=("denominator",)
+    )
+    assert report.all_passed and report.passed == 75
+
+
+def test_denominator_check_compares_two_indices_toward_the_seed():
+    # x_3 and x_4 of (2,3) have d-vectors (1, 0) and (2, 1), so a cell at
+    # j = 5 must have max-norm past 1, not past 2; x_1 (0, 0) bounds j = -1
+    grown = Y({(-2, 0): 1, (0, 0): 1})
+    assert rank2._denominator_item(T23, 5, "k=5 m=1", grown, None)[1] == PASS
+    flat = Y({(-1, 0): 1, (-1, 3): 1})
+    assert rank2._denominator_item(T23, 5, "k=5 m=1", flat, None) == (
+        "k=5 m=1 denominator", FAIL, "max-norm 1 did not grow past 1"
+    )
+    constant = Y({(0, 0): 2})
+    assert rank2._denominator_item(T23, -1, "k=-1 m=1", constant, None) == (
+        "k=-1 m=1 denominator", FAIL, "max-norm 0 did not grow past 0"
+    )
+
+
 def test_denominator_check_fails_a_positive_minimal_exponent():
     # y1 * (1 + y2^2) / y2 has d-vector (-1, 1): an entry below 0 that the
     # clamped denominator exponents (0, 1) would hide
@@ -474,9 +537,9 @@ def test_denominator_check_steps_under_the_deadline():
         assert deadlines and None not in deadlines
         return len(deadlines)
 
-    # x_7 and x_8 are walked again for the neighbour x_8 of the cell x_9
-    assert sweep(100, ("laurent", "denominator")) == sweep(100, ("laurent",)) + 2
-    # a cell over the limit whose neighbour is memoized costs no step more
+    # x_7, two indices toward the seed from the cell x_9, is walked again
+    assert sweep(100, ("laurent", "denominator")) == sweep(100, ("laurent",)) + 1
+    # a cell over the limit whose x_{j-2} is memoized costs no step more
     assert sweep(1000, ("laurent", "denominator")) == sweep(1000, ("laurent",))
 
 
