@@ -22,7 +22,6 @@ from .ccmap import (
 )
 from .laurent import LaurentPolynomial, VariableContext
 from .quiver import (
-    GrassmannianCount,
     ModuleSpec,
     NotIntegral,
     NotPolynomial,
@@ -30,7 +29,6 @@ from .quiver import (
     Quiver,
     Representation,
     chi_table,
-    count_submodules,
     coxeter_translate,
     direct_sum,
     euler_characteristic,
@@ -70,7 +68,6 @@ __all__ = [
     "ExchangeType",
     "FAIL",
     "GENERIC_DIM_BUDGET",
-    "GrassmannianCount",
     "INCONCLUSIVE",
     "Inconclusive",
     "LaurentPolynomial",
@@ -90,7 +87,6 @@ __all__ = [
     "chi_table",
     "clear_cache",
     "cluster_variable",
-    "count_submodules",
     "coxeter_translate",
     "d_vector",
     "detect_period",

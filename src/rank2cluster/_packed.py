@@ -139,6 +139,14 @@ def _width(bound: int) -> int:
     return width
 
 
+def _show(n: int) -> str:
+    """str(n) for n > 0, or its size in digits past the int/str conversion limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"({_width(n)} digits)"
+
+
 def _geometry(sizes: list[int], width: int) -> list[int]:
     """Box strides for a box of `sizes` slots of `width` digits.
 

@@ -22,7 +22,7 @@ dually on the way up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .laurent import LaurentPolynomial, VariableContext
@@ -33,9 +33,7 @@ from .quiver import (  # GENERIC_DIM_BUDGET is re-exported for callers
     chi_table,
     coxeter_translate,
     euler_matrix,
-    injective_dimension_vector,
     kronecker_quiver,
-    projective_dimension_vector,
 )
 from .rank2 import X_CONTEXT, ExchangeType, cluster_variable
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, Inconclusive
@@ -66,7 +64,6 @@ class CCObject:
     """
 
     kind: str
-    orbit_class: str
     vertex: str | None = None
     dims: tuple[int, ...] | None = None
     translate: int = 0
@@ -74,8 +71,6 @@ class CCObject:
     def __post_init__(self):
         if self.kind not in ("projective", "injective", "simple", "generic", "shifted"):
             raise ValueError(f"unknown object kind {self.kind!r}")
-        if self.orbit_class not in ("v", "w"):
-            raise ValueError(f"orbit class must be 'v' or 'w', got {self.orbit_class!r}")
         if self.kind == "shifted":
             if self.translate != 0:
                 raise ValueError("shifted projectives carry no translate")
@@ -122,8 +117,8 @@ def _resolve(b: int, c: int, vertex: str, shift: int) -> CCObject:
     """Object P_vertex[shift], normalized to a module or a shifted projective."""
     Q = kronecker_quiver(b, c)
     Q.index(vertex)
-    proj = {q: projective_dimension_vector(Q, q) for q in Q.vertices}
-    inj = {q: injective_dimension_vector(Q, q) for q in Q.vertices}
+    proj = dict(zip(Q.vertices, Q.path_counts))
+    inj = dict(zip(Q.vertices, zip(*Q.path_counts)))
     # down from P_q[1] the walk enters at P_q (translate 0) and wraps at the
     # injectives; up, it enters at I_q (translate 2) and wraps at projectives
     if shift <= 0:
@@ -146,25 +141,18 @@ def _resolve(b: int, c: int, vertex: str, shift: int) -> CCObject:
                 at = coxeter_translate(Q, at, direction)
                 steps += 1
     if kind == "shifted":
-        return CCObject("shifted", _class_of(at), vertex=at)
-    dims = tuple(int(x) for x in at)
+        return CCObject("shifted", vertex=at)
     translate = steps + offset
-    hit = _match(dims, proj)
+    hit = _match(at, proj)
     if hit is not None:
-        return CCObject("projective", _class_of(hit), vertex=hit, dims=dims, translate=translate)
-    hit = _match(dims, inj)
+        return CCObject("projective", vertex=hit, dims=at, translate=translate)
+    hit = _match(at, inj)
     if hit is not None:
-        return CCObject("injective", _class_of(hit), vertex=hit, dims=dims, translate=translate)
-    if sum(dims) == 1:
-        hit = Q.vertices[dims.index(1)]
-        return CCObject("simple", _class_of(hit), vertex=hit, dims=dims, translate=translate)
-    return CCObject(
-        "generic",
-        _class_of(anchor_vertex),
-        vertex=anchor_vertex,
-        dims=dims,
-        translate=translate,
-    )
+        return CCObject("injective", vertex=hit, dims=at, translate=translate)
+    if sum(at) == 1:
+        hit = Q.vertices[at.index(1)]
+        return CCObject("simple", vertex=hit, dims=at, translate=translate)
+    return CCObject("generic", vertex=anchor_vertex, dims=at, translate=translate)
 
 
 def object_for_index(b: int, c: int, k: int) -> CCObject:
@@ -295,7 +283,7 @@ def _permuted_object(Q: Quiver, obj: CCObject, g: dict[str, str]) -> CCObject:
             dims[Q.index(g[q])] = obj.dims[i]
         dims = tuple(dims)
     vertex = g[obj.vertex] if obj.vertex is not None else None
-    return CCObject(obj.kind, obj.orbit_class, vertex=vertex, dims=dims, translate=obj.translate)
+    return replace(obj, vertex=vertex, dims=dims)
 
 
 def g_equivariance_check(

@@ -15,10 +15,10 @@ wrong degree bound surfaces as an error instead of a silently wrong
 number.
 
 One object carries both sides of the module theory: the path count N with
-N[i][j] = #paths i -> j.  Row i of N is dim P_i, column j is dim I_j, and
-N = C^{-1} for the Euler matrix C.  The injective side is not built
-separately: I_v over Q is the dual of P_v over the opposite quiver, so its
-dimension vector and its (transposed) maps come from the projective code.
+N[i][j] = #paths i -> j, computed once per quiver.  Row i of N is dim P_i,
+column j is dim I_j, N = C^{-1} for the Euler matrix C, and the Coxeter
+matrices come from N.  I_v over Q is the dual of P_v over the opposite
+quiver, so its (transposed) maps come from the projective code.
 
 All of this works for any finite acyclic quiver; nothing below is special
 to K_{b,c} except the constructor.
@@ -26,6 +26,7 @@ to K_{b,c} except the constructor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._packed import _show
 from .report import BudgetExceeded, Inconclusive
 
 
@@ -50,7 +52,8 @@ class NotIntegral(Inconclusive):
 
 @dataclass(frozen=True)
 class Quiver:
-    """Finite acyclic quiver with named vertices."""
+    """Finite acyclic quiver with named vertices; its arrow index pairs,
+    opposite quiver and path count are each computed once and kept."""
 
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str], ...]
@@ -58,11 +61,14 @@ class Quiver:
     def __init__(self, vertices: Iterable[str], arrows: Iterable[tuple[str, str]]):
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "arrows", tuple((s, t) for s, t in arrows))
-        if len(set(self.vertices)) != len(self.vertices):
+        position = {v: i for i, v in enumerate(self.vertices)}
+        if len(position) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
         for s, t in self.arrows:
-            if s not in self.vertices or t not in self.vertices:
+            if s not in position or t not in position:
                 raise ValueError(f"arrow ({s}, {t}) references unknown vertex")
+        idx = tuple((position[s], position[t]) for s, t in self.arrows)
+        object.__setattr__(self, "_arrow_indices", idx)
         self._check_acyclic()
 
     def _check_acyclic(self):
@@ -92,12 +98,24 @@ class Quiver:
         except ValueError:
             raise KeyError(f"unknown vertex {vertex!r}") from None
 
-    def arrow_indices(self) -> list[tuple[int, int]]:
-        return [(self.index(s), self.index(t)) for s, t in self.arrows]
+    def arrow_indices(self) -> tuple[tuple[int, int], ...]:
+        return self._arrow_indices
+
+    @functools.cached_property
+    def opposite(self) -> Quiver:
+        """Same vertices and arrow order, every arrow reversed."""
+        return Quiver(self.vertices, ((t, s) for s, t in self.arrows))
+
+    @functools.cached_property
+    def path_counts(self) -> tuple[tuple[int, ...], ...]:
+        """N with N[i][j] = #paths i -> j: row i is dim P_i, column j dim I_j."""
+        return tuple(tuple(len(b) for b in _paths_from(self, i)) for i in range(self.n))
 
 
+# typed, so a float equal to a cached int is still rejected
+@functools.lru_cache(maxsize=None, typed=True)
 def kronecker_quiver(b: int, c: int) -> Quiver:
-    """K_{b,c}: vertices v1..vb then w1..wc, one arrow per (source, sink)."""
+    """K_{b,c}, one per (b, c): vertices v1..vb then w1..wc, an arrow per (source, sink)."""
     if not isinstance(b, int) or not isinstance(c, int) or b < 1 or c < 1:
         raise ValueError("b and c must be positive integers")
     vertices = [f"v{i}" for i in range(1, b + 1)] + [f"w{j}" for j in range(1, c + 1)]
@@ -114,7 +132,6 @@ def euler_matrix(Q: Quiver) -> list[list[int]]:
 
 
 def _as_dimvec(Q: Quiver, d: Sequence[int], allow_negative: bool = False) -> tuple[int, ...]:
-    # plain ints: dimension vectors far along an orbit outgrow int64
     dv = tuple(int(x) for x in d)
     if len(dv) != Q.n:
         raise ValueError(f"dimension vector has length {(len(dv),)}, quiver has {Q.n} vertices")
@@ -133,24 +150,17 @@ def euler_form(Q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Coxeter transformation on dimension vectors
 
-_COXETER_CACHE: dict[Quiver, tuple[list[list[int]], list[list[int]]]] = {}
-
-
-def _coxeter_matrices(Q: Quiver) -> tuple[list[list[int]], list[list[int]]]:
-    got = _COXETER_CACHE.get(Q)
-    if got is not None:
-        return got
+@functools.cache
+def _coxeter_matrices(Q: Quiver) -> tuple[tuple[tuple[int, ...], ...], ...]:
     C = euler_matrix(Q)
     # C = I - A with A nilpotent (Q is acyclic), so N = C^{-1} = I + A + A^2
-    # + ... is the path count, whose rows are the projective dimension vectors
-    N = [projective_dimension_vector(Q, q) for q in Q.vertices]
+    # + ... is the path count
+    N = Q.path_counts
     r = range(Q.n)
     # backward: dims of the inverse translate tau^{-1}, Phi = -N^T C
     # forward: dims of tau itself, the matrix inverse of Phi, -N C^T
-    # in plain ints, so the walk never overflows
-    phi_b = [[-sum(N[k][i] * C[k][j] for k in r) for j in r] for i in r]
-    phi_f = [[-sum(N[i][k] * C[j][k] for k in r) for j in r] for i in r]
-    _COXETER_CACHE[Q] = (phi_b, phi_f)
+    phi_b = tuple(tuple(-sum(N[k][i] * C[k][j] for k in r) for j in r) for i in r)
+    phi_f = tuple(tuple(-sum(N[i][k] * C[j][k] for k in r) for j in r) for i in r)
     return phi_b, phi_f
 
 
@@ -233,10 +243,6 @@ class Representation:
             frozen.append(m)
         object.__setattr__(self, "maps", tuple(frozen))
 
-    @property
-    def total_dimension(self) -> int:
-        return sum(self.dims)
-
 
 def _paths_from(Q: Quiver, start: int) -> list[list[tuple[int, ...]]]:
     # per-vertex lists of paths (arrow index tuples) starting at `start`
@@ -256,11 +262,6 @@ def _paths_from(Q: Quiver, start: int) -> list[list[tuple[int, ...]]]:
     return buckets
 
 
-def _opposite(Q: Quiver) -> Quiver:
-    """Same vertices and arrow order, every arrow reversed."""
-    return Quiver(Q.vertices, ((t, s) for s, t in Q.arrows))
-
-
 def _dual(M: Representation) -> Representation:
     """DM = Hom(M, F_p) over the opposite quiver: same dims, transposed maps."""
     # transposed column by column: zip(*m) would lose the columns of a 0-row m
@@ -268,15 +269,15 @@ def _dual(M: Representation) -> Representation:
         tuple(tuple(row[j] for row in m) for j in range(M.dims[s]))
         for m, (s, _) in zip(M.maps, M.quiver.arrow_indices())
     )
-    return Representation(_opposite(M.quiver), M.p, M.dims, maps)
+    return Representation(M.quiver.opposite, M.p, M.dims, maps)
 
 
 def projective_dimension_vector(Q: Quiver, vertex: str) -> tuple[int, ...]:
-    return tuple(len(b) for b in _paths_from(Q, Q.index(vertex)))
+    return Q.path_counts[Q.index(vertex)]
 
 
 def injective_dimension_vector(Q: Quiver, vertex: str) -> tuple[int, ...]:
-    return projective_dimension_vector(_opposite(Q), vertex)
+    return tuple(zip(*Q.path_counts))[Q.index(vertex)]
 
 
 def projective_module(Q: Quiver, vertex: str, p: int) -> Representation:
@@ -299,7 +300,7 @@ def injective_module(Q: Quiver, vertex: str, p: int) -> Representation:
     Its basis is the paths of Q ending at `vertex`; the map of an arrow is
     the transpose of the opposite arrow's map in that projective.
     """
-    return _dual(projective_module(_opposite(Q), vertex, p))
+    return _dual(projective_module(Q.opposite, vertex, p))
 
 
 def simple_module(Q: Quiver, vertex: str, p: int) -> Representation:
@@ -411,13 +412,6 @@ def generic_module(
 # ---------------------------------------------------------------------------
 # submodule Grassmannians
 
-@dataclass(frozen=True)
-class GrassmannianCount:
-    e: tuple[int, ...]
-    prime: int
-    count: int
-
-
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -522,23 +516,10 @@ def _grassmannian_counts(M: Representation) -> dict[tuple[int, ...], int]:
     the non-sources of Q, so the side with fewer non-sink tuples is counted.
     """
     Q, d, p = M.quiver, M.dims, M.p
-    if _non_sink_tuples(_opposite(Q), d, p) >= _non_sink_tuples(Q, d, p):
+    if _non_sink_tuples(Q.opposite, d, p) >= _non_sink_tuples(Q, d, p):
         return _one_sided_counts(M)
     dual = _one_sided_counts(_dual(M))
     return {e: dual[tuple(x - y for x, y in zip(d, e))] for e in dual}
-
-
-def count_submodules(M: Representation, e: Sequence[int]) -> GrassmannianCount:
-    """Number of subrepresentations of dimension vector e over F_p.
-
-    Runs the one-pass count of every e that chi_table uses and looks up e.
-    """
-    ev = tuple(int(x) for x in e)
-    if len(ev) != M.quiver.n or any(x < 0 for x in ev):
-        raise ValueError(f"bad dimension vector {ev}")
-    if any(x > dmax for x, dmax in zip(ev, M.dims)):
-        raise ValueError(f"e = {ev} exceeds module dimensions {M.dims}")
-    return GrassmannianCount(ev, M.p, _grassmannian_counts(M)[ev])
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +634,8 @@ def chi_table(spec: ModuleSpec, seed: int = 0) -> dict[tuple[int, ...], int]:
     d = spec.dimension_vector
     if spec.kind == "generic" and sum(d) > GENERIC_DIM_BUDGET:
         raise BudgetExceeded(
-            f"dimension total {sum(d)} exceeds the enumeration budget {GENERIC_DIM_BUDGET}"
+            f"dimension total {_show(sum(d))} exceeds the enumeration budget "
+            f"{GENERIC_DIM_BUDGET}"
         )
     all_e = list(itertools.product(*[range(x + 1) for x in d]))
     needed = sum((x * x) // 4 for x in d) + 2

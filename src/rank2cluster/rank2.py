@@ -282,7 +282,7 @@ def check_positivity_range(
                     report.add(
                         cell,
                         INCONCLUSIVE,
-                        f"skipped: numerator support bound {predicted} exceeds "
+                        f"skipped: numerator support bound {_packed._show(predicted)} exceeds "
                         f"cap {max_predicted_terms}",
                     )
                     continue

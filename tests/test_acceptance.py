@@ -46,7 +46,7 @@ def _U(terms):
 
 
 def _obj(kind, vertex):
-    return ccmap_mod.CCObject(kind, vertex[0], vertex=vertex)
+    return ccmap_mod.CCObject(kind, vertex=vertex)
 
 
 def test_criterion_1_golden_unfolded():

@@ -31,11 +31,11 @@ def U(terms):
 
 
 def obj_P(vertex):
-    return CCObject("projective", vertex[0], vertex=vertex)
+    return CCObject("projective", vertex=vertex)
 
 
 def obj_I(vertex):
-    return CCObject("injective", vertex[0], vertex=vertex)
+    return CCObject("injective", vertex=vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -48,29 +48,30 @@ def test_u_context_names():
 
 def test_ccobject_validation():
     with pytest.raises(ValueError):
-        CCObject("module", "v", vertex="v1")
+        CCObject("module", vertex="v1")
     with pytest.raises(ValueError):
-        CCObject("projective", "x", vertex="v1")
+        CCObject("shifted", vertex="v1", translate=1)
     with pytest.raises(ValueError):
-        CCObject("shifted", "v", vertex="v1", translate=1)
+        CCObject("shifted")
     with pytest.raises(ValueError):
-        CCObject("shifted", "v")
+        CCObject("generic")
     with pytest.raises(ValueError):
-        CCObject("generic", "v")
-    with pytest.raises(ValueError):
-        CCObject("injective", "w")
+        CCObject("injective")
+    # the vertex alone fixes the orbit class, so none can contradict it
+    with pytest.raises(TypeError):
+        CCObject("projective", "w", vertex="v1")
 
 
 def test_describe():
-    assert CCObject("shifted", "v", vertex="v1").describe() == "P_v1[1]"
+    assert CCObject("shifted", vertex="v1").describe() == "P_v1[1]"
     assert obj_P("w1").describe() == "P_w1"
     assert obj_I("v2").describe() == "I_v2"
-    assert CCObject("simple", "w", vertex="w1").describe() == "S_w1"
-    pre = CCObject("generic", "v", vertex="v1", dims=(1, 2, 2, 2), translate=1)
+    assert CCObject("simple", vertex="w1").describe() == "S_w1"
+    pre = CCObject("generic", vertex="v1", dims=(1, 2, 2, 2), translate=1)
     assert pre.describe() == "tau^-1 P_v1 at dims (1, 2, 2, 2)"
-    post = CCObject("generic", "w", vertex="w1", dims=(1, 2, 2, 2), translate=3)
+    post = CCObject("generic", vertex="w1", dims=(1, 2, 2, 2), translate=3)
     assert post.describe() == "tau^1 I_w1 at dims (1, 2, 2, 2)"
-    bare = CCObject("generic", "v", dims=(1, 1, 1, 2, 2))
+    bare = CCObject("generic", dims=(1, 1, 1, 2, 2))
     assert bare.describe() == "generic module at dims (1, 1, 1, 2, 2)"
 
 
@@ -78,8 +79,8 @@ def test_describe():
 # the index dictionary
 
 def test_index_dictionary_around_the_seed():
-    assert object_for_index(2, 3, 1) == CCObject("shifted", "v", vertex="v1")
-    assert object_for_index(2, 3, 2) == CCObject("shifted", "w", vertex="w1")
+    assert object_for_index(2, 3, 1) == CCObject("shifted", vertex="v1")
+    assert object_for_index(2, 3, 2) == CCObject("shifted", vertex="w1")
 
 
 def test_index_dictionary_first_steps():
@@ -115,7 +116,7 @@ def test_module_dims_follow_the_tropical_denominators(b, c):
 
 def test_index_dictionary_wraps_in_finite_type():
     # type (1,1) has period 5: below the projectives sit shifted copies again
-    assert object_for_index(1, 1, -3) == CCObject("shifted", "w", vertex="w1")
+    assert object_for_index(1, 1, -3) == CCObject("shifted", vertex="w1")
     # type (1,2): the forward translate of S_{v1} = I_{v1} is P_{v1}
     top = object_for_index(1, 2, 5)
     assert (top.kind, top.vertex, top.translate) == ("projective", "v1", 3)
@@ -160,7 +161,7 @@ def test_character_of_injective_sink():
 
 
 def test_character_of_shifted_projective():
-    got = cc_polynomial(K23, CCObject("shifted", "v", vertex="v1"))
+    got = cc_polynomial(K23, CCObject("shifted", vertex="v1"))
     assert got == LaurentPolynomial.variable(U23, "u_v1")
 
 
@@ -190,8 +191,8 @@ def test_fold_context_check():
 
 
 def test_fold_shifted_gives_seed_variables():
-    assert str(fold(cc_polynomial(K23, CCObject("shifted", "v", vertex="v1")), 2, 3)) == "x1"
-    assert str(fold(cc_polynomial(K23, CCObject("shifted", "w", vertex="w1")), 2, 3)) == "x2"
+    assert str(fold(cc_polynomial(K23, CCObject("shifted", vertex="v1")), 2, 3)) == "x1"
+    assert str(fold(cc_polynomial(K23, CCObject("shifted", vertex="w1")), 2, 3)) == "x2"
 
 
 def test_fold_matches_recurrence_on_explicit_modules():
@@ -315,7 +316,7 @@ def test_equivariance_sink_cycle():
 
 def test_equivariance_identity_and_shifted():
     assert g_equivariance_check(K23, obj_P("v1"), {}).items[0].status == PASS
-    report = g_equivariance_check(K23, CCObject("shifted", "v", vertex="v1"), {"v1": "v2", "v2": "v1"})
+    report = g_equivariance_check(K23, CCObject("shifted", vertex="v1"), {"v1": "v2", "v2": "v1"})
     assert report.items[0].status == PASS
 
 

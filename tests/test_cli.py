@@ -11,6 +11,7 @@ import rank2cluster
 from rank2cluster import cli
 from rank2cluster.cli import main
 from rank2cluster.laurent import LaurentPolynomial
+from rank2cluster.rank2 import ExchangeType, predicted_numerator_terms
 from rank2cluster.report import CheckReport
 
 GOLDEN_XM1 = "(1 + 3*x1^2 + 3*x1^4 + x1^6 + x2^3) / (x1*x2^3)"
@@ -140,6 +141,60 @@ def test_far_and_large_modules_are_inconclusive(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert "BudgetExceeded" in out + err
+
+
+@pytest.fixture
+def low_int_str_limit():
+    # 640 is the lowest limit the interpreter accepts, so (3,3) reaches it
+    # at small indices
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str conversion limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ccmap", "--b", "3", "--c", "3", "--k", "1600"),
+        ("exchange", "--b", "3", "--c", "3", "--class", "v", "--s", "800"),
+    ],
+)
+def test_dimension_total_past_the_int_str_limit_is_inconclusive(capsys, low_int_str_limit, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    # the total has 668 digits: its size is named instead of its value
+    assert "BudgetExceeded: dimension total (668 digits) exceeds" in out + err
+
+
+def test_verify_past_the_int_str_limit_reports_one_inconclusive_item(capsys, low_int_str_limit):
+    code, out, _ = run(
+        capsys, "verify", "--b", "3", "--c", "3", "--k-min", "1600", "--k-max", "1600", "--json"
+    )
+    assert code == 3
+    items = json.loads(out)["report"]["items"]
+    assert [(it["label"], it["status"]) for it in items] == [("k=1600", "inconclusive")]
+    assert "dimension total (668 digits)" in items[0]["detail"]
+
+
+def test_sweep_skip_past_the_int_str_limit_is_inconclusive(capsys, low_int_str_limit):
+    code, out, _ = run(
+        capsys,
+        "sweep", "--b", "3", "--c", "3",
+        "--k-min", "700", "--k-max", "800", "--m-min", "1", "--m-max", "1",
+        "--max-terms", "10", "--json",
+    )
+    assert code == 3
+    items = json.loads(out)["report"]["items"]
+    assert {it["status"] for it in items} == {"inconclusive"} and len(items) == 101
+    # x_700's bound, 583 digits, fits under the limit and prints in full
+    assert items[0]["detail"] == (
+        f"skipped: numerator support bound {predicted_numerator_terms(ExchangeType(3, 3), 700)} "
+        "exceeds cap 10"
+    )
+    assert items[-1]["detail"] == "skipped: numerator support bound (666 digits) exceeds cap 10"
 
 
 def test_semantic_usage_error(capsys):
@@ -452,3 +507,10 @@ def test_package_imports_without_numpy():
     proc = _run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_export_list_resolves_without_duplicates():
+    names = rank2cluster.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(rank2cluster, name)]
+    assert missing == []
