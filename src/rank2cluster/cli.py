@@ -11,12 +11,14 @@ for plain computations.  Subcommands that sample generic modules take
 --seed (default 0).
 
 A call pays only for the answer it prints: the argument parser is built
-once per process, on the first call, a repeated argv is not parsed
-again, and with --json no text rendering (polynomial strings, object
-descriptions, report summaries) is done.  A polynomial's JSON text is
-computed once and kept on the value, so a memoized `var`/`expand` answer,
-mirrored indices included, is printed from memoized text; the bytes are
-those of json.dumps(payload, sort_keys=True).
+once per process, on the first call, and with --json no text rendering
+(polynomial strings, object descriptions, report summaries) is done; the
+JSON bytes are those of json.dumps(payload, sort_keys=True).  A plain
+computation (var, expand, period, ccmap, euler) that exits 0 is kept as
+the text it printed, keyed by its argv, when every polynomial in it has at
+most rank2._CACHE_TERM_LIMIT terms, so a repeated argv is one lookup and
+one print.  Reports (sweep, verify, exchange) and exits 1, 2 and 3 are
+computed again on every call.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import sys
 from typing import Callable, Sequence
 
+from . import rank2
 from .ccmap import (
     cc_polynomial,
     fold,
@@ -48,7 +51,6 @@ from .report import CheckReport, Inconclusive
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    # a tuple, so a memoized parse holds no value a command could change
     return tuple(int(x) for x in text.split(","))
 
 
@@ -163,42 +165,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(
+def _render(
     args: argparse.Namespace,
     results: list,
     report: CheckReport | None,
     text: Callable[[], str],
-) -> None:
+) -> str:
     # results are polynomials or JSON-ready dicts; the envelope is written
-    # as text so that a polynomial's memoized text is not parsed or copied
-    # into a dict again
-    if args.json:
-        items = ", ".join(
-            r.to_json() if isinstance(r, LaurentPolynomial) else json.dumps(r, sort_keys=True)
-            for r in results
-        )
-        report_text = json.dumps(report.to_dict() if report is not None else None, sort_keys=True)
-        print(
-            f'{{"command": {json.dumps(args.command)}, "report": {report_text}, '
-            f'"results": [{items}]}}'
-        )
-    else:
-        print(text())
+    # as text, with each polynomial's JSON written directly by to_json
+    if not args.json:
+        return text()
+    items = ", ".join(
+        r.to_json() if isinstance(r, LaurentPolynomial) else json.dumps(r, sort_keys=True)
+        for r in results
+    )
+    report_text = json.dumps(report.to_dict() if report is not None else None, sort_keys=True)
+    command = json.dumps(args.command)
+    return f'{{"command": {command}, "report": {report_text}, "results": [{items}]}}'
 
 
-def _cmd_var(args: argparse.Namespace) -> int:
+def _cmd_var(args: argparse.Namespace) -> tuple:
     p = cluster_variable(ExchangeType(args.b, args.c), args.k)
-    _emit(args, [p], None, p.__str__)
-    return 0
+    return [p], None, p.__str__
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> tuple:
     p = expand_in_cluster(ExchangeType(args.b, args.c), args.k, args.m)
-    _emit(args, [p], None, p.__str__)
-    return 0
+    return [p], None, p.__str__
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple:
     report = check_positivity_range(
         ExchangeType(args.b, args.c),
         args.k_min,
@@ -209,22 +205,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         budget_seconds=args.budget_seconds,
         max_predicted_terms=args.max_terms,
     )
-    _emit(args, [], report, report.summary)
-    return report.exit_code()
+    return [], report, report.summary
 
 
-def _cmd_period(args: argparse.Namespace) -> int:
+def _cmd_period(args: argparse.Namespace) -> tuple:
     period = detect_period(ExchangeType(args.b, args.c), args.max)
-    _emit(
-        args,
+    return (
         [{"max_checked": args.max, "period": period}],
         None,
         lambda: str(period) if period is not None else f"none <= {args.max}",
     )
-    return 0
 
 
-def _cmd_ccmap(args: argparse.Namespace) -> int:
+def _cmd_ccmap(args: argparse.Namespace) -> tuple:
     obj = object_for_index(args.b, args.c, args.k)
     Q = kronecker_quiver(args.b, args.c)
     X = cc_polynomial(Q, obj, seed=args.seed)
@@ -235,11 +228,10 @@ def _cmd_ccmap(args: argparse.Namespace) -> int:
         lines += [f"pi(X) = {folded}" for folded in polys[1:]]
         return "\n".join(lines)
 
-    _emit(args, polys, None, text)
-    return 0
+    return polys, None, text
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     if args.k_min > args.k_max:
         raise ValueError("empty verification range")
     report = CheckReport(
@@ -248,14 +240,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     for k in range(args.k_min, args.k_max + 1):
         report.extend(verify_folding(args.b, args.c, k, seed=args.seed))
-    _emit(args, [], report, report.summary)
-    return report.exit_code()
+    return [], report, report.summary
 
 
-def _cmd_exchange(args: argparse.Namespace) -> int:
+def _cmd_exchange(args: argparse.Namespace) -> tuple:
     report = verify_exchange_relation(args.b, args.c, args.orbit_class, args.s, seed=args.seed)
-    _emit(args, [], report, report.summary)
-    return report.exit_code()
+    return [], report, report.summary
 
 
 def _module_spec_for(args: argparse.Namespace) -> ModuleSpec:
@@ -271,7 +261,7 @@ def _module_spec_for(args: argparse.Namespace) -> ModuleSpec:
     return ModuleSpec(Q, kind, vertex=vertex)
 
 
-def _cmd_euler(args: argparse.Namespace) -> int:
+def _cmd_euler(args: argparse.Namespace) -> tuple:
     spec = _module_spec_for(args)
     chi = euler_characteristic(spec, args.sub, seed=args.seed)
     result = {
@@ -280,10 +270,11 @@ def _cmd_euler(args: argparse.Namespace) -> int:
         "e": list(args.sub),
         "module": args.module if args.module == "generic" else f"{args.module}{args.index}",
     }
-    _emit(args, [result], None, lambda: str(chi))
-    return 0
+    return [result], None, lambda: str(chi)
 
 
+# each command returns (results, report, text): the --json results, the
+# report (None for a plain computation) and the text form, rendered lazily
 _COMMANDS = {
     "var": _cmd_var,
     "expand": _cmd_expand,
@@ -296,18 +287,21 @@ _COMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=1024)
-def _parse(argv: tuple[str, ...]) -> dict:
-    # main copies the dict into a fresh Namespace, and every value is
-    # immutable (ints, strings, tuples), so no call can change another's
-    # arguments; a usage error raises SystemExit, which is never cached
-    return vars(_build_parser().parse_args(argv))
+# argv -> the text a plain computation printed; at most 1024 are kept, the
+# oldest dropped first (a dict keeps insertion order)
+_ANSWERS: dict[tuple[str, ...], str] = {}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = argparse.Namespace(**_parse(tuple(sys.argv[1:] if argv is None else argv)))
+    key = tuple(sys.argv[1:] if argv is None else argv)
+    answer = _ANSWERS.get(key)
+    if answer is not None:
+        print(answer)
+        return 0
+    args = _build_parser().parse_args(key)
     try:
-        return _COMMANDS[args.command](args)
+        results, report, text = _COMMANDS[args.command](args)
+        answer = _render(args, results, report, text)
     except Inconclusive as exc:
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -316,6 +310,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"usage error: {message}", file=sys.stderr)
         return 2
+    print(answer)
+    if report is not None:
+        return report.exit_code()
+    limit = rank2._CACHE_TERM_LIMIT
+    if all(len(r) <= limit for r in results if isinstance(r, LaurentPolynomial)):
+        if len(_ANSWERS) >= 1024:
+            del _ANSWERS[next(iter(_ANSWERS))]
+        _ANSWERS[key] = answer
+    return 0
 
 
 if __name__ == "__main__":

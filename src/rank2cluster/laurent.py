@@ -56,8 +56,7 @@ class LaurentPolynomial:
     stripped.  Arithmetic is exact; operands must share a context.
     """
 
-    # _json holds to_json()'s text once it is first asked for
-    __slots__ = ("context", "_terms", "_json")
+    __slots__ = ("context", "_terms")
 
     def __init__(self, context: VariableContext, terms: Mapping[tuple[int, ...], int] | None = None):
         if not isinstance(context, VariableContext):
@@ -420,24 +419,17 @@ class LaurentPolynomial:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), sort_keys=True)``, computed once.
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``, written directly.
 
-        The text is written directly, without the intermediate dicts, and
-        kept on the (immutable) value, so printing it again costs nothing.
+        The text is built without the intermediate dicts.
         """
-        try:
-            return self._json
-        except AttributeError:
-            pass
         # ints print as JSON; names go through json for their escapes
         terms = ", ".join(
             f'{{"coefficient": "{self._terms[e]}", "exponents": [{", ".join(map(str, e))}]}}'
             for e in sorted(self._terms)
         )
         names = ", ".join(map(json.dumps, self.context.names))
-        text = f'{{"terms": [{terms}], "variables": [{names}]}}'
-        object.__setattr__(self, "_json", text)
-        return text
+        return f'{{"terms": [{terms}], "variables": [{names}]}}'
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPolynomial":

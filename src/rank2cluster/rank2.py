@@ -45,19 +45,8 @@ class ExchangeType:
 
 # cluster_variable memo, keyed (b, c, k) with k >= 3.  Entries above the
 # term limit are recomputed on demand instead of cached; insert-only,
-# idempotent.  _MIRRORS holds, keyed (b, c, k) with k <= 0, the mirror
-# image of x_{3-k} of type (c, b), kept only when that source is a
-# _CACHE entry, so the term limit bounds it too; a mirror permutes a
-# memoized value and is not a computed step, so it never goes through
-# _maybe_cache.  _VIEWS holds, under the keys of both tables,
-# expand_in_cluster's Y_CONTEXT view of each memoized value (one object
-# sharing its terms), so a repeated expansion returns the same value and
-# its memoized JSON text.  Each text is kept as long as its value, and a
-# value printed by both var and expand holds two, one per context; the
-# term limit bounds each entry, not the sum of the texts.
+# idempotent.
 _CACHE: dict[tuple[int, int, int], LaurentPolynomial] = {}
-_MIRRORS: dict[tuple[int, int, int], LaurentPolynomial] = {}
-_VIEWS: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _CACHE_TERM_LIMIT = 500_000
 
 # negated minimal exponent vectors of the seed pair (x_1, x_2)
@@ -65,9 +54,8 @@ _SEED_DELTAS = ((-1, 0), (0, -1))
 
 
 def clear_cache() -> None:
+    """Empty the recurrence memo, and nothing else."""
     _CACHE.clear()
-    _MIRRORS.clear()
-    _VIEWS.clear()
 
 
 def _step_exponent(t: ExchangeType, middle: int) -> int:
@@ -97,15 +85,11 @@ def cluster_variable(
     BudgetExceeded naming the step and the block; the deadline is
     overrun by at most one power, one reciprocal and one block.  Nothing
     of a step that raises is memoized.  An index k <= 0 is the mirror
-    image of x_{3-k} of type (c, b) with x1 and x2 swapped, memoized
-    whenever x_{3-k} is.
+    image of x_{3-k} of type (c, b) with x1 and x2 swapped: a new value
+    permuted from the memoized x_{3-k}, and not itself memoized.
     """
     mirrored = k <= 0
     if mirrored:
-        key = (t.b, t.c, k)
-        mirror = _MIRRORS.get(key)
-        if mirror is not None:
-            return mirror
         t, k = t.swapped, 3 - k
     cur = _CACHE.get((t.b, t.c, k))
     if cur is None:
@@ -125,12 +109,7 @@ def cluster_variable(
                 nxt = LaurentPolynomial._raw(X_CONTEXT, quot)
                 _maybe_cache((t.b, t.c, j + 1), nxt)
             prev, cur = cur, nxt
-    if not mirrored:
-        return cur
-    mirror = cur.permute_variables({"x1": "x2", "x2": "x1"})
-    if _CACHE.get((t.b, t.c, k)) is cur:
-        _MIRRORS[key] = mirror
-    return mirror
+    return cur.permute_variables({"x1": "x2", "x2": "x1"}) if mirrored else cur
 
 
 def expand_in_cluster(
@@ -142,20 +121,18 @@ def expand_in_cluster(
     exponent keyed to the parity of the true index, is the same as
     evaluating the standard family at index k - m + 1 for type (b, c) when
     m is odd and type (c, b) when m is even; that reduction shares the
-    memo cache across all offsets, and a memoized x_j, mirrored or not, is
-    returned as the same view object on every call.  `deadline` is
+    memo cache across all offsets.  The result is a new Y_CONTEXT value
+    sharing the terms of cluster_variable's answer.  `deadline` is
     cluster_variable's.
     """
-    j = k - m + 1
-    base = t if m % 2 else t.swapped
-    p = cluster_variable(base, j, deadline)
-    key = (base.b, base.c, j)
-    view = _VIEWS.get(key)
-    if view is None:
-        view = LaurentPolynomial._raw(Y_CONTEXT, p._terms)
-        if _CACHE.get(key) is p or _MIRRORS.get(key) is p:
-            _VIEWS[key] = view
-    return view
+    base, j = _in_seed_cluster(t, k, m)
+    return LaurentPolynomial._raw(Y_CONTEXT, cluster_variable(base, j, deadline)._terms)
+
+
+def _in_seed_cluster(t: ExchangeType, k: int, m: int) -> tuple[ExchangeType, int]:
+    # x_k in the cluster (x_m, x_{m+1}) of type t is x_j in (x_1, x_2) of
+    # the returned type, keyed to the parity of m
+    return (t if m % 2 else t.swapped), k - m + 1
 
 
 def d_vector(t: ExchangeType, k: int) -> tuple[int, int]:
@@ -274,8 +251,7 @@ def check_positivity_range(
             if deadline is not None and time.monotonic() > deadline:
                 report.add(cell, INCONCLUSIVE, "time budget exhausted before this cell")
                 continue
-            j = k - m + 1
-            base = t if m % 2 else t.swapped
+            base, j = _in_seed_cluster(t, k, m)
             if max_predicted_terms is not None:
                 predicted = predicted_numerator_terms(base, j)
                 if predicted > max_predicted_terms:

@@ -282,29 +282,29 @@ def _count_parses(monkeypatch):
         return parse_args(self, args, namespace)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
-    cli._parse.cache_clear()
     return parses
+
+
+def _count_commands(monkeypatch):
+    # the name of every command run, in order
+    ran = []
+    for name, command in list(cli._COMMANDS.items()):
+        def counting(args, name=name, command=command):
+            ran.append(name)
+            return command(args)
+
+        monkeypatch.setitem(cli._COMMANDS, name, counting)
+    return ran
 
 
 def test_repeated_argv_is_parsed_once(capsys, monkeypatch):
     parses = _count_parses(monkeypatch)
-    seen = []
-
-    def spy(args, command=cli._cmd_euler):
-        # a command that changes its arguments changes no later call's
-        seen.append((args, args.sub))
-        code = command(args)
-        args.sub, args.b = (9,), -1
-        return code
-
-    monkeypatch.setitem(cli._COMMANDS, "euler", spy)
+    ran = _count_commands(monkeypatch)
     query = ("euler", "--b", "2", "--c", "3", "--module", "Pv", "--sub", "1,0,1,1,1", "--json")
     first = run(capsys, *query)
     assert run(capsys, *query) == first and first[0] == 0
     assert parses == [query]
-    assert seen[0][0] is not seen[1][0]
-    assert seen[0][1] == seen[1][1] == (1, 0, 1, 1, 1)
-    assert (seen[1][0].b, seen[1][0].sub) == (-1, (9,))
+    assert ran == ["euler"]
 
 
 def test_repeated_bad_argv_exits_2_every_time(capsys, monkeypatch):
@@ -317,6 +317,69 @@ def test_repeated_bad_argv_exits_2_every_time(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("usage: rank2cluster var") and "invalid int value: 'x'" in err
     assert parses == [tuple(bad)] * 2
+
+
+def test_a_report_runs_again_on_every_call(capsys, monkeypatch):
+    ran = _count_commands(monkeypatch)
+    sweep = ("sweep", "--b", "2", "--c", "3", "--k-min", "3", "--k-max", "4",
+             "--m-min", "1", "--m-max", "1", "--budget-seconds", "0")
+    first = run(capsys, *sweep)
+    assert first[0] == 3 and "time budget exhausted" in first[1]
+    assert run(capsys, *sweep) == first
+    passing = ("verify", "--b", "1", "--c", "1", "--k-min", "0", "--k-max", "1", "--json")
+    assert run(capsys, *passing)[0] == 0
+    assert run(capsys, *passing)[0] == 0
+    assert ran == ["sweep", "sweep", "verify", "verify"]
+    assert cli._ANSWERS == {}
+
+
+def test_inconclusive_answers_exit_3_on_every_repeat(capsys, monkeypatch):
+    ran = _count_commands(monkeypatch)
+    # a step the kernel declines, and an object past the enumeration budget
+    monkeypatch.setattr(rank2cluster._packed, "positive_exact_div", lambda *args: None)
+    rank2cluster.rank2.clear_cache()
+    declined = ("var", "--b", "4", "--c", "5", "--k", "4", "--json")
+    far = ("ccmap", "--b", "3", "--c", "3", "--k", "9", "--fold", "--json")
+    for query, reason in ((declined, "could not certify"), (far, "enumeration budget")):
+        first = run(capsys, *query)
+        assert first[0] == 3 and first[1] == "" and reason in first[2]
+        assert run(capsys, *query) == first
+    assert ran == ["var", "var", "ccmap", "ccmap"]
+
+
+def test_usage_errors_exit_2_on_every_repeat(capsys, monkeypatch):
+    ran = _count_commands(monkeypatch)
+    generic = ("euler", "--b", "2", "--c", "3", "--module", "generic", "--sub", "0,0,0,0,0")
+    for _ in range(2):
+        code, out, err = run(capsys, *generic)
+        assert (code, out) == (2, "") and "--dim is required" in err
+    assert ran == ["euler", "euler"]
+
+
+def test_an_answer_over_the_term_limit_is_computed_again(capsys, monkeypatch):
+    ran = _count_commands(monkeypatch)
+    # x_7 of type (3,2) has 91 terms
+    query = ("var", "--b", "3", "--c", "2", "--k", "7", "--json")
+    monkeypatch.setattr(rank2cluster.rank2, "_CACHE_TERM_LIMIT", 90)
+    first = run(capsys, *query)
+    assert first[0] == 0 and len(json.loads(first[1])["results"][0]["terms"]) == 91
+    assert run(capsys, *query) == first
+    assert ran == ["var", "var"]
+    # the limit is read on every call: at 91 terms the answer is kept
+    monkeypatch.setattr(rank2cluster.rank2, "_CACHE_TERM_LIMIT", 91)
+    assert run(capsys, *query) == first
+    assert run(capsys, *query) == first
+    assert ran == ["var", "var", "var"]
+
+
+def test_text_and_json_argvs_print_their_own_bytes(capsys):
+    query = ("var", "--b", "2", "--c", "3", "--k", "-1")
+    text, as_json = run(capsys, *query), run(capsys, *query, "--json")
+    assert text[1] == GOLDEN_XM1 + "\n"
+    assert json.loads(as_json[1])["command"] == "var"
+    for _ in range(2):
+        assert run(capsys, *query) == text
+        assert run(capsys, *query, "--json") == as_json
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
@@ -389,6 +452,7 @@ def test_json_is_canonical_and_unchanged_by_the_memo(capsys, query):
     for clear in (True, False, True):
         if clear:
             rank2cluster.rank2.clear_cache()
+            cli._ANSWERS.clear()
         code, out, err = run(capsys, *query, "--json")
         assert (code, err) == (0, "")
         outputs.append(out)
@@ -398,26 +462,26 @@ def test_json_is_canonical_and_unchanged_by_the_memo(capsys, query):
 
 
 def test_memo_hit_prints_memoized_text(capsys, monkeypatch):
-    printed = []
+    serialized = []
     original = LaurentPolynomial.to_json
 
     def spy(self):
-        text = original(self)
-        printed.append(text)
-        return text
+        serialized.append(self)
+        return original(self)
 
     def forbidden(self):
         raise AssertionError("the CLI serialized through to_json_dict")
 
     monkeypatch.setattr(LaurentPolynomial, "to_json", spy)
     monkeypatch.setattr(LaurentPolynomial, "to_json_dict", forbidden)
-    for query in MEMO_QUERIES[0], MEMO_QUERIES[2], MEMO_QUERIES[3]:
-        rank2cluster.rank2.clear_cache()
-        first = run(capsys, *query, "--json")[1]
-        second = run(capsys, *query, "--json")[1]
-        assert first == second
-        # a repeated hit prints the very str the first call built
-        assert printed[-1] is printed[-2]
+    ran = _count_commands(monkeypatch)
+    for query in MEMO_QUERIES[:5]:
+        first = run(capsys, *query, "--json")
+        ran.clear()
+        serialized.clear()
+        # a repeated argv prints the kept text: no command, no serializer
+        assert run(capsys, *query, "--json") == first
+        assert ran == [] and serialized == []
 
 
 def test_json_renders_no_text(capsys, monkeypatch):
