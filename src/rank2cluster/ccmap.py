@@ -22,6 +22,7 @@ dually on the way up.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -176,12 +177,14 @@ def cc_from_spec(Q: Quiver, spec: ModuleSpec, seed: int = 0) -> LaurentPolynomia
     d = spec.dimension_vector
     C = euler_matrix(Q)
     r = range(Q.n)
+    # -(C^T e) - C (d - e) = -C d + (C - C^T) e, affine in e
+    base = [-sum(C[i][k] * d[k] for k in r) for i in r]
+    skew = [[C[i][k] - C[k][i] for k in r] for i in r]
     terms: dict[tuple[int, ...], int] = {}
     for e, chi in table.items():
         if chi == 0:
             continue
-        # -(C^T e) - C (d - e)
-        exponents = tuple(-sum(C[k][i] * e[k] + C[i][k] * (d[k] - e[k]) for k in r) for i in r)
+        exponents = tuple(b + sum(map(operator.mul, row, e)) for b, row in zip(base, skew))
         terms[exponents] = terms.get(exponents, 0) + chi
     return LaurentPolynomial(_u_variables(Q), terms)
 

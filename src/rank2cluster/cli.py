@@ -1,14 +1,15 @@
 """Command-line front end: computation, sweeps, and verification.
 
 Exit codes: 0 success or all checks passed, 1 a verified property failed,
-2 usage error, 3 the computation was inconclusive (rigidity sampling,
+2 usage error, 3 the computation was inconclusive (a rigidity test,
 interpolation holdout, a budget or size guard, or an exchange step the
 packed kernel could not certify stopped it).
 
 Every subcommand accepts --json; the payload is
 {"command": ..., "results": [...], "report": ...} with the report null
-for plain computations.  Subcommands that sample generic modules take
---seed (default 0).
+for plain computations.  The subcommands ccmap, verify, exchange and euler
+take --seed (default 0); it reaches only generic modules off the orbits of
+projectives and injectives, which are sampled.
 
 A call pays only for the answer it prints: the argument parser is built
 once per process, on the first call, and with --json no text rendering

@@ -12,7 +12,8 @@ tuples.  Euler characteristics are recovered by interpolating the counting
 polynomial through enough primes and reading off its value at q = 1.  A
 held-out prime checks every interpolation, so a non-generic sample or a
 wrong degree bound surfaces as an error instead of a silently wrong
-number.
+number.  Modules on the orbits of projectives and injectives are built
+from P_v or I_v by reflection functors; other generic modules are sampled.
 
 One object carries both sides of the module theory: the path count N with
 N[i][j] = #paths i -> j, computed once per quiver.  Row i of N is dim P_i,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from .report import BudgetExceeded, Inconclusive
 
 
 class NotRigid(Inconclusive):
-    """Generic sampling failed to certify endomorphism dimension 1."""
+    """A generic module failed to certify endomorphism dimension 1."""
 
 
 class NotPolynomial(Inconclusive):
@@ -103,8 +105,10 @@ class Quiver:
 
     @functools.cached_property
     def opposite(self) -> Quiver:
-        """Same vertices and arrow order, every arrow reversed."""
-        return Quiver(self.vertices, ((t, s) for s, t in self.arrows))
+        """Same vertices and arrow order, every arrow reversed; its opposite is self."""
+        opp = Quiver(self.vertices, ((t, s) for s, t in self.arrows))
+        opp.__dict__["opposite"] = self
+        return opp
 
     @functools.cached_property
     def path_counts(self) -> tuple[tuple[int, ...], ...]:
@@ -200,14 +204,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _first_primes(count: int) -> list[int]:
+@functools.cache
+def _first_primes(count: int) -> tuple[int, ...]:
     out = []
     p = 2
     while len(out) < count:
         if _is_prime(p):
             out.append(p)
         p += 1
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,6 +379,34 @@ def hom_dimension(M: Representation, N: Representation) -> int:
     return total - _rank_mod_p(rows, p)
 
 
+def _left_null_space(rows: list[Sequence[int]], width: int, p: int) -> list[list[int]]:
+    """Basis over F_p of {y : y A = 0} for the matrix A with these rows, each of `width`."""
+    # reduced row echelon form of A^T; each free column gives one basis vector
+    mat = [[row[j] % p for row in rows] for j in range(width)]
+    pivots: list[int] = []
+    for col in range(len(rows)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, width) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        top = mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(width):
+            f = mat[i][col]
+            if f and i != r:
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], top)]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(len(rows)) if col not in pivots):
+        y = [0] * len(rows)
+        y[free] = 1
+        for i, col in enumerate(pivots):
+            y[col] = -mat[i][free] % p
+        basis.append(y)
+    return basis
+
+
 def generic_module(
     Q: Quiver,
     d: Sequence[int],
@@ -383,10 +416,12 @@ def generic_module(
 ) -> Representation:
     """Random representation at d, accepted only with endomorphism dimension 1.
 
-    Requires <d, d> = 1 (a real Schur root, as along transjective orbits);
-    then End = 1 forces Ext^1 = 0, so the accepted sample is rigid and its
-    Grassmannian counts are those of the unique rigid module at d.  Raises
-    NotRigid when no sample within `trials` attempts is accepted.
+    Requires <d, d> = 1 (a real Schur root); then End = 1 forces Ext^1 = 0,
+    so the accepted sample is rigid and its Grassmannian counts are those of
+    the unique rigid module at d.  Raises NotRigid when no sample within
+    `trials` attempts is accepted.  ModuleSpec.realize builds the modules
+    on the orbits of projectives and injectives instead and samples here
+    only roots off those orbits.
     """
     dv = _as_dimvec(Q, d)
     if not _is_prime(p):
@@ -407,6 +442,86 @@ def generic_module(
         if hom_dimension(M, M) == 1:
             return M
     raise NotRigid(f"no rigid sample at dims {dv} over F_{p} in {trials} trials")
+
+
+# ---------------------------------------------------------------------------
+# orbit modules by reflection functors (Bernstein, Gelfand and Ponomarev)
+
+def _source_cokernels(M: Representation) -> Representation:
+    """Reflection at every source of a bipartite quiver, onto its opposite.
+
+    A source v goes to the cokernel of M_v -> (+)_a M_t over its arrows
+    a: v -> t.  The rows of the projection are a left null space basis of
+    the stacked maps; the reversed arrow t -> v gets their column block of a.
+    """
+    Q, p = M.quiver, M.p
+    idx = Q.arrow_indices()
+    dims = list(M.dims)
+    maps: list = [None] * len(idx)
+    for v in sorted({s for s, _ in idx}):
+        out = [a for a, (s, _) in enumerate(idx) if s == v]
+        stacked = [row for a in out for row in M.maps[a]]
+        proj = _left_null_space(stacked, M.dims[v], p)
+        dims[v] = len(proj)
+        start = 0
+        for a in out:
+            end = start + M.dims[idx[a][1]]
+            maps[a] = [y[start:end] for y in proj]
+            start = end
+    return Representation(Q.opposite, p, tuple(dims), tuple(maps))
+
+
+@functools.cache
+def _orbit_position(Q: Quiver, d: tuple[int, ...]) -> tuple[str, int, int] | None:
+    """(end, vertex, t) with d = dim tau^{-t} P_vertex (end "projective") or
+    dim tau^t I_vertex (end "injective"), or None when d is on neither orbit
+    or Q is not bipartite.
+
+    Regular roots never reach an end (affine ones are tau-periodic, wild ones
+    grow), so the walk stops after sum(d) + n steps; on K_{b,c} with b, c <= 6
+    every orbit module is at most sum(d) + 1 steps from its end.
+    """
+    idx = Q.arrow_indices()
+    if {s for s, _ in idx} & {t for _, t in idx}:
+        return None
+    ends = (
+        ("projective", "forward", Q.path_counts),
+        ("injective", "backward", tuple(zip(*Q.path_counts))),
+    )
+    for end, direction, end_dims in ends:
+        at = d
+        for t in range(sum(d) + Q.n + 1):
+            if at in end_dims:
+                return end, end_dims.index(at), t
+            try:
+                at = coxeter_translate(Q, at, direction)
+            except ValueError:
+                break
+    return None
+
+
+def _orbit_module(Q: Quiver, d: tuple[int, ...], p: int) -> Representation | None:
+    """The module at d on the orbit of a projective or an injective, built by
+    reflection functors from that end over F_p; None off those orbits.
+
+    tau^{-1} is the cokernels at every source, then at every source of the
+    opposite quiver.  tau is the dual of tau^{-1} over the opposite quiver,
+    so tau^t I_v is the dual of tau^{-t} P_v over it.  Raises NotRigid if
+    the built module fails the rigidity test End = F_p.
+    """
+    position = _orbit_position(Q, d)
+    if position is None:
+        return None
+    end, vertex, t = position
+    M = projective_module(Q if end == "projective" else Q.opposite, Q.vertices[vertex], p)
+    for _ in range(t):
+        M = _source_cokernels(_source_cokernels(M))
+    if end == "injective":
+        M = _dual(M)
+    assert M.dims == d, (M.dims, d)
+    if hom_dimension(M, M) != 1:
+        raise NotRigid(f"orbit module at dims {d} over F_{p} is not rigid")
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +694,10 @@ class ModuleSpec:
         )
 
     def realize(self, p: int, seed: int = 0) -> Representation:
+        """The module over F_p.  A generic module on the orbit of a projective
+        or an injective is built by reflection functors and passes one
+        rigidity test; only a root off those orbits samples generic_module,
+        the one use of `seed`.  Sum parts get their own seeds."""
         if self.kind == "projective":
             return projective_module(self.quiver, self.vertex, p)
         if self.kind == "injective":
@@ -586,6 +705,9 @@ class ModuleSpec:
         if self.kind == "simple":
             return simple_module(self.quiver, self.vertex, p)
         if self.kind == "generic":
+            built = _orbit_module(self.quiver, self.dims, p)
+            if built is not None:
+                return built
             return generic_module(self.quiver, self.dims, p, seed=seed)
         total = self.parts[0].realize(p, seed)
         for offset, part in enumerate(self.parts[1:], start=1):
@@ -593,15 +715,21 @@ class ModuleSpec:
         return total
 
 
-def _lagrange_eval(points: list[tuple[int, int]], x) -> Fraction:
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        term = Fraction(yi)
-        for j, (xj, _) in enumerate(points):
+@functools.cache
+def _lagrange_weights(nodes: tuple[int, ...], x: int) -> tuple[tuple[int, ...], int]:
+    """Integers (c, D) with P(x) = sum_i c_i P(nodes_i) / D for every
+    polynomial P of degree below len(nodes)."""
+    nums, dens = [], []
+    for i, xi in enumerate(nodes):
+        num = den = 1
+        for j, xj in enumerate(nodes):
             if i != j:
-                term *= Fraction(x - xj, xi - xj)
-        total += term
-    return total
+                num *= x - xj
+                den *= xi - xj
+        nums.append(num)
+        dens.append(den)
+    D = math.lcm(*dens)
+    return tuple(num * (D // den) for num, den in zip(nums, dens)), D
 
 
 _CHI_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
@@ -612,7 +740,8 @@ _CHI_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
 # count leaves desk scale beyond it
 GENERIC_DIM_BUDGET = 12
 
-# primes to try for point counting; generic sampling may reject some
+# primes to try for point counting; a generic module that fails its
+# rigidity test at a prime rejects that prime
 _PRIME_POOL_SIZE = 40
 
 
@@ -621,10 +750,14 @@ def chi_table(spec: ModuleSpec, seed: int = 0) -> dict[tuple[int, ...], int]:
 
     Counts the points of every Gr_e(M) in one pass per prime, over D+2
     primes in all, where D = max_e sum e_i (d_i - e_i) bounds the degree of
-    the counting polynomials.  For each e it interpolates through the
-    first deg_e + 1 counts, verifies the prediction at the next, held-out
-    prime (NotPolynomial on mismatch), and evaluates at q = 1 (NotIntegral
-    if that is not an integer).  Results are cached per (spec, seed).  A
+    the counting polynomials.  A generic module on the orbit of a
+    projective or an injective is built by reflection functors at each
+    prime and passes one rigidity test there (see ModuleSpec.realize); a
+    prime where the test fails is skipped.  For each e it interpolates
+    through the first deg_e + 1 counts with cached integer Lagrange
+    weights, verifies the prediction at the next, held-out prime
+    (NotPolynomial on mismatch), and evaluates at q = 1 (NotIntegral if
+    that is not an integer).  Results are cached per (spec, seed).  A
     generic module over GENERIC_DIM_BUDGET raises BudgetExceeded first.
     """
     key = (spec, seed)
@@ -655,22 +788,27 @@ def chi_table(spec: ModuleSpec, seed: int = 0) -> dict[tuple[int, ...], int]:
             f"needed {needed} primes for {spec.kind} at dims {d}, got "
             f"{len(collected)} (rejected: {rejected})"
         )
+    primes = tuple(p for p, _ in collected)
     table: dict[tuple[int, ...], int] = {}
     for e in all_e:
         degree = sum(ei * (di - ei) for ei, di in zip(e, d))
-        nodes = [(p, counts[e]) for p, counts in collected[: degree + 1]]
+        nodes = primes[: degree + 1]
+        values = [counts[e] for _, counts in collected[: degree + 1]]
         hold_p, hold_counts = collected[degree + 1]
-        predicted = _lagrange_eval(nodes, hold_p)
+        weights, D = _lagrange_weights(nodes, hold_p)
+        predicted = sum(map(operator.mul, weights, values))
         actual = hold_counts[e]
-        if predicted != actual:
+        if predicted != actual * D:
             raise NotPolynomial(
                 f"holdout prime {hold_p} check failed for e={e}: interpolation "
-                f"predicts {predicted}, count is {actual}"
+                f"predicts {Fraction(predicted, D)}, count is {actual}"
             )
-        at_one = _lagrange_eval(nodes, 1)
-        if at_one.denominator != 1:
-            raise NotIntegral(f"counting polynomial at q=1 is {at_one} for e={e}")
-        table[e] = int(at_one)
+        weights, D = _lagrange_weights(nodes, 1)
+        at_one = sum(map(operator.mul, weights, values))
+        value, rem = divmod(at_one, D)
+        if rem:
+            raise NotIntegral(f"counting polynomial at q=1 is {Fraction(at_one, D)} for e={e}")
+        table[e] = value
     _CHI_CACHE[key] = table
     return table
 

@@ -2,8 +2,8 @@
 
 A CheckReport is a flat list of labeled items, each pass, fail, or
 inconclusive.  Failure means a property was computed and found false;
-inconclusive means the computation could not be carried out (sampling did
-not certify rigidity, a size or budget guard stopped it) and asserts
+inconclusive means the computation could not be carried out (a module
+failed its rigidity test, a size or budget guard stopped it) and asserts
 nothing.
 
 A computation that gives up raises a subclass of `Inconclusive`.  The

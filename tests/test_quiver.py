@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from rank2cluster import quiver
 from rank2cluster.quiver import (
     ModuleSpec,
+    NotIntegral,
+    NotPolynomial,
     NotRigid,
     Quiver,
     Representation,
@@ -347,6 +349,100 @@ def test_generic_module_rejects_bad_prime():
 
 
 # ---------------------------------------------------------------------------
+# orbit modules built by reflection functors
+
+ORBIT_TYPES = [(1, 4), (2, 2), (2, 3), (3, 2), (4, 1), (2, 4), (3, 3), (1, 5)]
+# sampled twins are point-counted only below this many subspace tuples
+COUNTED_TUPLES = 3000
+
+
+def _orbit_dims(Q, start, direction, steps=3, max_total=16):
+    """start and up to `steps` Coxeter translates of it, of total dimension <= max_total."""
+    out = [start]
+    for _ in range(steps):
+        try:
+            d = coxeter_translate(Q, out[-1], direction)
+        except ValueError:  # the orbit ended
+            break
+        if sum(d) > max_total:
+            break
+        out.append(d)
+    return out
+
+
+def _built(Q, d, p):
+    with mock.patch.object(quiver, "generic_module", side_effect=AssertionError("sampled")):
+        return ModuleSpec(Q, "generic", dims=d).realize(p)
+
+
+def _check_built(Q, d, p):
+    M = _built(Q, d, p)
+    assert M.quiver is Q and M.p == p and M.dims == d
+    assert hom_dimension(M, M) == 1
+    tuples = min(quiver._non_sink_tuples(Q, d, p), quiver._non_sink_tuples(Q.opposite, d, p))
+    if tuples > COUNTED_TUPLES:
+        return 0
+    try:
+        sampled = generic_module(Q, d, p)
+    except NotRigid:
+        return 0
+    assert _grassmannian_counts(M) == _grassmannian_counts(sampled), (d, p)
+    return 1
+
+
+@pytest.mark.parametrize("b,c", ORBIT_TYPES)
+def test_orbit_modules_are_built_rigid_at_their_dims(b, c):
+    # tau^-t P_v and tau^t I_v for t <= 3: dims from coxeter_translate, End = F_p,
+    # and the same Grassmannian counts as the sampler's module where it succeeds
+    Q = kronecker_quiver(b, c)
+    compared = 0
+    for p in (2, 3, 5, 7):
+        for v in Q.vertices:
+            for start, direction, end in (
+                (projective_dimension_vector(Q, v), "backward", "projective"),
+                (injective_dimension_vector(Q, v), "forward", "injective"),
+            ):
+                for t, d in enumerate(_orbit_dims(Q, start, direction)):
+                    assert quiver._orbit_position(Q, d) == (end, Q.index(v), t)
+                    compared += _check_built(Q, d, p)
+    assert compared
+
+
+@pytest.mark.parametrize("b,c,roots", [(1, 2, 6), (1, 3, 12), (3, 1, 12)])
+def test_every_indecomposable_of_a_finite_type_is_built(b, c, roots):
+    # a Dynkin quiver's preprojective orbits end at the injectives and hold
+    # every positive root; walked from the other end, an orbit wraps
+    Q = kronecker_quiver(b, c)
+    dims = set()
+    for v in Q.vertices:
+        dims.update(_orbit_dims(Q, projective_dimension_vector(Q, v), "backward", steps=Q.n))
+    assert len(dims) == roots
+    assert {quiver._orbit_position(Q, d)[0] for d in dims} == {"projective"}
+    assert any(sum(d) == 1 and quiver._orbit_position(Q, d)[2] > 0 for d in dims)
+    for p in (2, 3):
+        for d in dims:
+            _check_built(Q, d, p)
+
+
+def test_a_regular_root_falls_back_to_the_sampler():
+    K22 = kronecker_quiver(2, 2)
+    d = (1, 0, 1, 0)  # a real root on a tube of the affine K_{2,2}
+    assert quiver._orbit_position(K22, d) is None
+    with mock.patch.object(quiver, "generic_module", wraps=generic_module) as spy:
+        ModuleSpec(K22, "generic", dims=d).realize(3, seed=5)
+    spy.assert_called_once_with(K22, d, 3, seed=5)
+    assert chi_table(ModuleSpec(K22, "generic", dims=d)) == {
+        (0, 0, 0, 0): 1, (0, 0, 1, 0): 1, (1, 0, 0, 0): 0, (1, 0, 1, 0): 1,
+    }
+
+
+def test_a_built_module_that_fails_the_rigidity_test_raises_not_rigid(monkeypatch):
+    monkeypatch.setattr(quiver, "hom_dimension", lambda M, N: 2)
+    with pytest.raises(NotRigid, match="not rigid"):
+        ModuleSpec(K23, "generic", dims=(2, 3, 1, 1, 1)).realize(5)
+
+
+# ---------------------------------------------------------------------------
 # submodule counting
 
 def test_count_trivial_submodules():
@@ -643,6 +739,47 @@ def test_chi_table_cached_per_spec():
 def test_chi_nonnegative_on_generic_orbit():
     spec = ModuleSpec(K23, "generic", dims=(1, 1, 1, 2, 2))
     assert all(v >= 0 for v in chi_table(spec).values())
+
+
+# S_v1^4 over K_{1,1}: Gr_(2,0) is Gr(2, 4), whose counting polynomial has
+# degree 4, interpolated through 2, 3, 5, 7, 11 and held out at 13
+FOUR_SIMPLES = ModuleSpec(K11, "sum", parts=(ModuleSpec(K11, "simple", vertex="v1"),) * 4)
+
+
+def _bump_counts(monkeypatch, e, bumps):
+    """Add bumps[p] to the count of Gr_e at the prime p."""
+    monkeypatch.setattr(quiver, "_CHI_CACHE", {})
+    counts = quiver._grassmannian_counts
+
+    def bumped(M):
+        out = dict(counts(M))
+        out[e] += bumps.get(M.p, 0)
+        return out
+
+    monkeypatch.setattr(quiver, "_grassmannian_counts", bumped)
+
+
+@pytest.mark.parametrize("bumps,predicted,count", [
+    ({13: 1}, "31110", 31111),  # #Gr(2, 4)(F_13) = [4, 2]_13 = 31110
+    ({2: 1}, "280054/9", 31110),  # a node off by one moves the prediction by 64/9
+])
+def test_a_wrong_count_raises_not_polynomial(monkeypatch, bumps, predicted, count):
+    _bump_counts(monkeypatch, (2, 0), bumps)
+    with pytest.raises(NotPolynomial) as excinfo:
+        chi_table(FOUR_SIMPLES)
+    assert str(excinfo.value) == (
+        f"holdout prime 13 check failed for e=(2, 0): interpolation predicts {predicted}, "
+        f"count is {count}"
+    )
+
+
+def test_counts_of_a_non_integral_polynomial_raise_not_integral(monkeypatch):
+    # counts moved by the integer-valued-at-primes polynomial that is 1 at 7,
+    # 0 at 2, 3, 5, 11 and -11 at 13; it is -1/2 at q = 1
+    _bump_counts(monkeypatch, (2, 0), {7: 1, 13: -11})
+    with pytest.raises(NotIntegral) as excinfo:
+        chi_table(FOUR_SIMPLES)
+    assert str(excinfo.value) == "counting polynomial at q=1 is 11/2 for e=(2, 0)"
 
 
 def test_euler_characteristic_validates_e():
