@@ -50,9 +50,10 @@ by slicing its decimal string from the right, one slot at a time.  The
 numerator is never written out as digits: the long division cuts its
 blocks off the packed power by powers of ten.  A numerator of one block
 is divided by one divmod; a longer one pays for one reciprocal of the
-divisor per step, and each block takes its quotient from two products
-with it (``_block_divmod``).  With a deadline, the clock is read before
-each block.
+divisor per step (``_reciprocal``: GMP's division on gmpy2, Newton's
+iteration from products on Decimal, exact or one unit low), and each
+block takes its quotient from two products with it (``_block_divmod``).
+With a deadline, the clock is read before each block.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ MEMORY_CAP = 1_500_000_000
 # short need little scratch space, and each block costs two products and
 # a correction, so shorter blocks would only add calls.
 _MIN_BLOCK_DIGITS = 1 << 16
+
+# Precision, in digits, at or below which the Decimal arm's reciprocal is
+# one libmpdec division (there its schoolbook division beats Newton's
+# products); above it, Newton's iteration builds the reciprocal.  At least
+# 3, so that each Newton level halves a precision k > 3.
+_NEWTON_DIGITS = 1 << 12
 
 # Python 3.10 releases before 3.10.7 have no limit on int/str conversion.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -240,15 +247,58 @@ def _digits(value) -> int:
     return n - (value < _ten(n - 1))
 
 
+def _reciprocal(pd, n: int, k: int):
+    """floor(10**(n+k) / pd) or one less, for 10**(n-1) <= pd <= 10**n.
+
+    On gmpy2's mpz it is the floor itself: GMP divides in subquadratic
+    time, while Newton's iteration there would pay a division for every
+    shift.  On Decimal, where libmpdec's division costs 5 to 7 products of
+    the same size, it is built from products by Newton's iteration (Brent
+    and Zimmermann, Modern Computer Arithmetic, the section on reciprocal
+    and division).  With R = 10**(n+k) / pd, the Decimal result satisfies
+    R - 2 < result <= R.  Every approximation is from below, so the error
+    term of each level is never negative:
+    - When pd has more than k + 4 digits, it is cut to its top m = k + 4
+      by T = ceil(pd / 10**s), s = n - m.  Then 10**(m-1) <= T <= 10**m,
+      and 10**(m+k) / T lies below R by less than 10**(m+k) /
+      10**(2(m-1)) = 1/100.
+    - When k or the digit count is at most _NEWTON_DIGITS, the result is
+      the floor from one division, less than 1 below R.
+    - Otherwise r, the result at precision h = ceil((k+2)/2), is below
+      R_h = 10**(n+h) / pd by less than 2, so e = 10**(n+h) - pd*r =
+      pd*(R_h - r) >= 0, and the Newton step r*10**(k-h)*(1 + e/10**(n+h))
+      is below R by pd*10**(k-n-2h)*(R_h - r)**2 < 4/100.  It is computed
+      with e cut to its digits above 10**u, which loses less than
+      r*10**u / 10**(n+2h-k) <= 1/100, and floored, which loses less
+      than 1.
+    Each level thus loses less than 1/100 + 4/100 + 1/100 + 1 < 2.  A
+    Newton level costs the products pd*r and r*e, of about (k+4) x h and
+    h x h digits.
+    """
+    if _NUM is decimal.Decimal:
+        if n > k + 4:
+            s = n - k - 4
+            pd = _shift(pd - 1, s) + 1
+            n -= s
+        if min(n, k) > _NEWTON_DIGITS:
+            h = (k + 3) // 2
+            r = _reciprocal(pd, n, h)
+            e = _ten(n + h) - pd * r
+            u = max(n + h - k - 3, 0)
+            return r * _ten(k - h) + _shift(r * _shift(e, u), n + 2 * h - k - u)
+    return _ten(n + k) // pd
+
+
 def _block_divmod(a, pd, n: int, recip, bl: int):
     """divmod(a, pd) for 0 <= a < pd * 10**bl, where pd has n digits.
 
     The quotient is estimated as floor(floor(a / 10**(n-1)) * recip /
     10**(bl+1)) and corrected by its exact remainder, so the result is
     exact for any `recip`.  With recip = 10**(n+bl) // pd the estimate is
-    never above the quotient and at most 2 below it, so the block costs
-    two products and the shifts, where a divmod would also compute a
-    reciprocal of pd.
+    never above the quotient and at most 2 below it; with the reciprocal
+    of ``_reciprocal``, at most one less (Newton's iteration on Decimal),
+    it is at most 3 below.  So the block costs two products and the
+    shifts, where a divmod would also compute a reciprocal of pd.
     """
     q = _shift(_shift(a, n - 1) * recip, bl + 1)
     r = a - q * pd
@@ -342,7 +392,7 @@ def positive_exact_div(
                 # one reciprocal of the divisor serves every block
                 bl = block * width
                 pd_digits = _digits(pd)
-                recip = _ten(pd_digits + bl) // pd
+                recip = _reciprocal(pd, pd_digits, bl)
             for i, lo in enumerate(range((blocks - 1) * block, -1, -block), 1):
                 if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExceeded(

@@ -49,13 +49,19 @@ class ExchangeType:
 _CACHE: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _CACHE_TERM_LIMIT = 500_000
 
+# denominator exponent pair of each computed value the memo declined, same
+# keys, read off the polynomial, so the sweep's denominator check need not
+# walk to it again
+_DENOMINATORS: dict[tuple[int, int, int], tuple[int, int]] = {}
+
 # negated minimal exponent vectors of the seed pair (x_1, x_2)
 _SEED_DELTAS = ((-1, 0), (0, -1))
 
 
 def clear_cache() -> None:
-    """Empty the recurrence memo, and nothing else."""
+    """Empty the recurrence memo and the denominator pairs kept beside it."""
     _CACHE.clear()
+    _DENOMINATORS.clear()
 
 
 def _step_exponent(t: ExchangeType, middle: int) -> int:
@@ -66,6 +72,8 @@ def _step_exponent(t: ExchangeType, middle: int) -> int:
 def _maybe_cache(key: tuple[int, int, int], value: LaurentPolynomial) -> None:
     if len(value) <= _CACHE_TERM_LIMIT:
         _CACHE[key] = value
+    else:
+        _DENOMINATORS[key] = value.denominator_exponents()
 
 
 def cluster_variable(
@@ -218,8 +226,10 @@ def check_positivity_range(
     exchange step, before each block of its division, where a cell cut at
     the deadline is one inconclusive item naming the step and the block.
     A cell overruns the deadline by at most one power, one reciprocal and
-    one block of a step; the denominator check's walk to x_{k-2} or
-    x_{k+2} runs under the same deadline.  max_predicted_terms skips cells
+    one block of a step.  The denominator check reads the denominator
+    exponents of x_{k-2} or x_{k+2} from the memo or from the pair kept
+    when the memo declined it, and only walks to it, under the same
+    deadline, when neither holds it.  max_predicted_terms skips cells
     whose numerator support bound exceeds it, also as inconclusive.
     A cell whose computation raises Inconclusive (a step the kernel could
     not certify, or one past its size guards or the deadline) is one
@@ -291,12 +301,11 @@ def check_positivity_range(
 def _denominator_item(
     base: ExchangeType, j: int, cell: str, p: LaurentPolynomial, deadline: float | None
 ):
-    # p is x_j of type base; x_{j-2} (x_{j+2} when j <= 0) over the memo's
-    # term limit is walked again, so it runs under the sweep's deadline
-    # too.  The negated minimal exponents, unclamped, are the d-vector, and
-    # a cluster variable that is not an initial one has it nonnegative.
-    # Finite types come back to y1 or y2 at other indices than the seed
-    # pair, so the initial ones are recognised by value, not by j.
+    # p is x_j of type base.  The negated minimal exponents, unclamped, are
+    # the d-vector, and a cluster variable that is not an initial one has
+    # it nonnegative.  Finite types come back to y1 or y2 at other indices
+    # than the seed pair, so the initial ones are recognised by value, not
+    # by j.
     if not _is_initial(p):
         delta = tuple(-e for e in p.min_exponents())
         if min(delta) < 0:
@@ -305,8 +314,7 @@ def _denominator_item(
     if base.b * base.c >= 4 and (j >= 3 or j <= 0):
         # past the seed pair the max-norm must grow strictly over each
         # Coxeter step, two indices toward the seed
-        toward_seed = j - 2 if j >= 3 else j + 2
-        prev = cluster_variable(base, toward_seed, deadline).denominator_exponents()
+        prev = _denominator(base, j - 2 if j >= 3 else j + 2, deadline)
         if max(den) <= max(prev):
             return (
                 f"{cell} denominator",
@@ -314,6 +322,17 @@ def _denominator_item(
                 f"max-norm {max(den)} did not grow past {max(prev)}",
             )
     return f"{cell} denominator", PASS, f"d-vector {den}"
+
+
+def _denominator(t: ExchangeType, k: int, deadline: float | None) -> tuple[int, int]:
+    # the denominator exponents of x_k from the pair kept for a value over
+    # the memo's term limit, else from cluster_variable (a memo hit, or a
+    # walk under the deadline); x_k for k <= 0 is x_{3-k} of type (c, b)
+    # mirrored
+    if k <= 0:
+        return _denominator(t.swapped, 3 - k, deadline)[::-1]
+    den = _DENOMINATORS.get((t.b, t.c, k))
+    return den or cluster_variable(t, k, deadline).denominator_exponents()
 
 
 def _is_initial(p: LaurentPolynomial) -> bool:

@@ -520,25 +520,38 @@ def test_packed_kernels_decline_non_positive_coefficients(kernel, side, bad):
         assert kernel(*operands, e) is None
 
 
+# (_MIN_BLOCK_DIGITS, _NEWTON_DIGITS): the real ones; blocks as short as
+# the divisor, so small inputs take the multi-block path too, with the
+# reciprocal from one division; and both small, so that path builds the
+# reciprocal by Newton's iteration on Decimal
+_THRESHOLDS = [
+    (_packed._MIN_BLOCK_DIGITS, _packed._NEWTON_DIGITS),
+    (1, _packed._NEWTON_DIGITS),
+    (1, 4),
+]
+
+
+def _thresholds(min_block, newton_digits):
+    return mock.patch.multiple(
+        _packed, _MIN_BLOCK_DIGITS=min_block, _NEWTON_DIGITS=newton_digits
+    )
+
+
 @given(
     wide_term_dicts(),
     exps,
     st.integers(1, 3),
     st.booleans(),
-    st.sampled_from([None, 1]),
+    st.sampled_from(_THRESHOLDS),
 )
 @settings(max_examples=200)
-def test_packed_kernels_across_word_boundaries(base, corner, e, by_monomial, min_block):
-    # min_block=1 lets the long division run in blocks as short as the
-    # divisor, so small inputs take the multi-block path too
+def test_packed_kernels_across_word_boundaries(base, corner, e, by_monomial, thresholds):
     num = _step_numerator(base, e)
     if by_monomial:
         den, quot = {corner: 1}, _monomial_quotient(num, {corner: 1})
     else:
         den, quot = num, {(0, 0): 1}
-    with mock.patch.object(
-        _packed, "_MIN_BLOCK_DIGITS", min_block or _packed._MIN_BLOCK_DIGITS
-    ):
+    with _thresholds(*thresholds):
         assert _packed.positive_exact_div(base, den, e) == quot
 
 
@@ -560,15 +573,13 @@ def int_arm_term_dicts(draw, max_terms=5):
     int_arm_term_dicts(),
     positive_term_dicts(max_terms=1),
     st.integers(1, 2),
-    st.sampled_from([1, 1024, _packed._MIN_BLOCK_DIGITS]),
+    st.sampled_from([(1024, _packed._NEWTON_DIGITS), *_THRESHOLDS]),
 )
 @settings(max_examples=200)
-def test_packed_kernels_on_the_gmpy2_arm(base, mono, e, min_block):
+def test_packed_kernels_on_the_gmpy2_arm(base, mono, e, thresholds):
     num = _step_numerator(base, e)
     mono = {corner: 1 for corner in mono}
-    with mock.patch.object(_packed, "_NUM", int), mock.patch.object(
-        _packed, "_MIN_BLOCK_DIGITS", min_block
-    ):
+    with mock.patch.object(_packed, "_NUM", int), _thresholds(*thresholds):
         assert _packed.positive_exact_div(base, mono, e) == _monomial_quotient(num, mono)
         assert _packed.positive_exact_div(base, num, e) == {(0, 0): 1}
 
@@ -668,6 +679,68 @@ def test_block_divmod_on_random_blocks(n, bl, data):
     a = data.draw(st.integers(0, pd * 10**bl - 1))
     for arm in _ARMS:
         assert _reciprocal_divmod(arm, a, pd, bl) == divmod(a, pd)
+
+
+# _reciprocal(pd, n, k) is floor(10**(n+k) / pd) on gmpy2's arm and at
+# most one below it on Decimal, where Newton's iteration builds it; with
+# _NEWTON_DIGITS patched down the iteration runs on small numbers.
+def _reciprocal(arm, pd, k, newton_digits=4):
+    with mock.patch.object(_packed, "_NUM", arm), mock.patch.object(
+        _packed, "_NEWTON_DIGITS", newton_digits
+    ), decimal.localcontext(_packed._EXACT):
+        return int(_packed._reciprocal(arm(pd), len(str(pd)), k))
+
+
+def _divisors(n):
+    return st.integers(10 ** (n - 1), 10**n - 1) | st.sampled_from([10 ** (n - 1), 10**n - 1])
+
+
+@given(st.integers(1, 200), st.integers(1, 200), st.data())
+@settings(max_examples=300)
+def test_reciprocal_on_the_decimal_arm(n, k, data):
+    pd = data.draw(_divisors(n))
+    floor = 10 ** (n + k) // pd
+    assert floor - 1 <= _reciprocal(decimal.Decimal, pd, k) <= floor
+
+
+@given(st.integers(1, 200), st.integers(1, 200), st.data())
+def test_reciprocal_on_the_gmpy2_arm(n, k, data):
+    pd = data.draw(_divisors(n))
+    assert _reciprocal(int, pd, k) == 10 ** (n + k) // pd
+
+
+def test_reciprocal_iterates_on_decimal():
+    # precision 200 from a base case at 4 digits: seven Newton levels, at
+    # precisions 200, 101, 52, 27, 15, 9 and 6, and one division on
+    # gmpy2's arm
+    pd = 10**199 + 12345
+    for arm, calls in ((decimal.Decimal, 8), (int, 1)):
+        with mock.patch.object(_packed, "_reciprocal", wraps=_packed._reciprocal) as spy:
+            _reciprocal(arm, pd, 200)
+        assert spy.call_count == calls, arm
+
+
+# the two multi-block steps below run at full size, with the reciprocal
+# of the real thresholds: every block's estimate lies within the bound of
+# _block_divmod's docstring, and each quotient is checked in the sparse ring
+@pytest.mark.parametrize("b,c,k", [(2, 4, 8), (5, 1, 10)])
+def test_multi_block_steps_at_full_size(b, c, k):
+    t = ExchangeType(b, c)
+    prev, cur = cluster_variable(t, k - 2), cluster_variable(t, k - 1)
+    e = b if (k - 1) % 2 else c
+    corrections = []
+
+    def block_divmod(a, pd, n, recip, bl, inner=_packed._block_divmod):
+        q, r = inner(a, pd, n, recip, bl)
+        corrections.append(q - _packed._shift(_packed._shift(a, n - 1) * recip, bl + 1))
+        return q, r
+
+    with mock.patch.object(_packed, "_block_divmod", block_divmod):
+        quot = _packed.positive_exact_div(cur._terms, prev._terms, e)
+    assert len(corrections) > 1
+    assert all(0 <= step <= 3 for step in corrections), corrections
+    num = LaurentPolynomial(X, _step_numerator(cur.terms, e))
+    assert LaurentPolynomial(X, quot) * prev == num
 
 
 def test_packed_div_retries_at_the_wide_width():

@@ -547,28 +547,33 @@ def test_no_budget_never_reads_the_clock(short_blocks):
 def test_denominator_check_steps_under_the_deadline():
     # with the memo's term limit at 100, (2,3) x_7 (131 terms) and later
     # variables are walked again on every request; the denominator check
-    # reads the cell's d-vector off the cell and walks to its neighbour
-    # under the sweep's deadline
+    # reads the cell's d-vector off the cell and its neighbour's from the
+    # pair kept when the memo declined it, and every step of the walk
+    # runs under the sweep's deadline
     deadlines = []
 
     def packed_div(base, den, e, deadline=None, kernel=_packed.positive_exact_div):
         deadlines.append(deadline)
         return kernel(base, den, e, deadline)
 
-    def sweep(limit, checks):
+    def sweep(limit, checks, k=9):
         clear_cache()
         deadlines.clear()
         with mock.patch.object(rank2, "_CACHE_TERM_LIMIT", limit), mock.patch.object(
             _packed, "positive_exact_div", packed_div
         ):
-            report = check_positivity_range(T23, 9, 9, 1, 1, checks, budget_seconds=600)
+            report = check_positivity_range(T23, k, k, 1, 1, checks, budget_seconds=600)
         clear_cache()
         assert report.all_passed
         assert deadlines and None not in deadlines
         return len(deadlines)
 
-    # x_7, two indices toward the seed from the cell x_9, is walked again
-    assert sweep(100, ("laurent", "denominator")) == sweep(100, ("laurent",)) + 1
+    # x_7, two indices toward the seed from the cell x_9, is not walked
+    # again: the cell's walk computed it
+    assert sweep(100, ("laurent", "denominator")) == sweep(100, ("laurent",))
+    # nor is x_-4 from the cell x_-6, mirrored from x_7 (91 terms) and x_9
+    # of (3,2)
+    assert sweep(50, ("laurent", "denominator"), -6) == sweep(50, ("laurent",), -6)
     # a cell over the limit whose x_{j-2} is memoized costs no step more
     assert sweep(1000, ("laurent", "denominator")) == sweep(1000, ("laurent",))
 
