@@ -7,9 +7,9 @@ packed kernel could not certify stopped it).
 
 Every subcommand accepts --json; the payload is
 {"command": ..., "results": [...], "report": ...} with the report null
-for plain computations.  The subcommands ccmap, verify, exchange and euler
-take --seed (default 0); it reaches only generic modules off the orbits of
-projectives and injectives, which are sampled.
+for plain computations.  The subcommands ccmap and euler take --seed
+(default 0); it reaches only generic modules off the orbits of projectives
+and injectives, which are sampled, so it changes no object that ccmap names.
 
 A call pays only for the answer it prints: the argument parser is built
 once per process, on the first call, and with --json no text rendering
@@ -140,14 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_bc(p)
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
-    _add_seed(p)
     _add_json(p)
 
     p = sub.add_parser("exchange", help="one multiplication triangle of an orbit")
     _add_bc(p)
     p.add_argument("--class", dest="orbit_class", choices=["v", "w"], required=True)
     p.add_argument("--s", type=int, required=True)
-    _add_seed(p)
     _add_json(p)
 
     p = sub.add_parser("euler", help="Euler characteristic of one quiver Grassmannian")
@@ -240,12 +238,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
         f"k in [{args.k_min},{args.k_max}]"
     )
     for k in range(args.k_min, args.k_max + 1):
-        report.extend(verify_folding(args.b, args.c, k, seed=args.seed))
+        report.extend(verify_folding(args.b, args.c, k))
     return [], report, report.summary
 
 
 def _cmd_exchange(args: argparse.Namespace) -> tuple:
-    report = verify_exchange_relation(args.b, args.c, args.orbit_class, args.s, seed=args.seed)
+    report = verify_exchange_relation(args.b, args.c, args.orbit_class, args.s)
     return [], report, report.summary
 
 

@@ -74,7 +74,8 @@ class LaurentPolynomial:
             if c:
                 if e in clean:
                     raise ValueError(f"duplicate exponent vector {e}")
-                clean[e] = c
+                # plain ints, so a bool or an int subclass prints as a number
+                clean[tuple(map(int, e))] = int(c)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_terms", clean)
 
@@ -103,7 +104,7 @@ class LaurentPolynomial:
             raise TypeError("constant value must be int")
         if value == 0:
             return cls.zero(context)
-        return cls._raw(context, {(0,) * context.arity: value})
+        return cls._raw(context, {(0,) * context.arity: int(value)})
 
     @classmethod
     def one(cls, context: VariableContext) -> "LaurentPolynomial":

@@ -49,19 +49,13 @@ class ExchangeType:
 _CACHE: dict[tuple[int, int, int], LaurentPolynomial] = {}
 _CACHE_TERM_LIMIT = 500_000
 
-# denominator exponent pair of each computed value the memo declined, same
-# keys, read off the polynomial, so the sweep's denominator check need not
-# walk to it again
-_DENOMINATORS: dict[tuple[int, int, int], tuple[int, int]] = {}
-
 # negated minimal exponent vectors of the seed pair (x_1, x_2)
 _SEED_DELTAS = ((-1, 0), (0, -1))
 
 
 def clear_cache() -> None:
-    """Empty the recurrence memo and the denominator pairs kept beside it."""
+    """Empty the recurrence memo."""
     _CACHE.clear()
-    _DENOMINATORS.clear()
 
 
 def _step_exponent(t: ExchangeType, middle: int) -> int:
@@ -72,8 +66,6 @@ def _step_exponent(t: ExchangeType, middle: int) -> int:
 def _maybe_cache(key: tuple[int, int, int], value: LaurentPolynomial) -> None:
     if len(value) <= _CACHE_TERM_LIMIT:
         _CACHE[key] = value
-    else:
-        _DENOMINATORS[key] = value.denominator_exponents()
 
 
 def cluster_variable(
@@ -210,27 +202,22 @@ def check_positivity_range(
     """Expand x_k in every cluster (x_m, x_{m+1}) of the grid and check it.
 
     checks: any subset of "laurent" (every recurrence division exact),
-    "positivity" (all coefficients > 0), "denominator" (unless x_k is y1 or
-    y2, every entry of the unclamped d-vector, the negated minimal
-    exponents, nonnegative; and, when bc >= 4, the max-norm of the clamped
-    one strictly greater than that of x_{k-2}, or x_{k+2} when k < m, one
-    Coxeter step closer to the cluster: on b = 1 or c = 1 it need not
-    grow at every single step).  Failure is recorded with a witness,
-    never raised.  Every step runs as the packed kernel, whose certificate needs
-    positive operands, so a non-positive x_k would show up as an
-    inconclusive cell (the kernel could not certify its step), not as a
-    positivity failure.
+    "positivity" (all coefficients > 0), "denominator" (the unclamped
+    d-vector, the negated minimal exponents, equal to the one the tropical
+    recurrence delta_{k+1} = e * max(delta_k, 0) - delta_{k-1} predicts,
+    and x_k equal to y1 or y2 itself where that prediction is an initial
+    variable's).  Failure is recorded with a witness, never raised.  Every
+    step runs as the packed kernel, whose certificate needs positive
+    operands, so a non-positive x_k would show up as an inconclusive cell
+    (the kernel could not certify its step), not as a positivity failure.
 
     budget_seconds is checked between cells, where cells not started
     before the deadline are reported inconclusive, and inside each
     exchange step, before each block of its division, where a cell cut at
     the deadline is one inconclusive item naming the step and the block.
     A cell overruns the deadline by at most one power, one reciprocal and
-    one block of a step.  The denominator check reads the denominator
-    exponents of x_{k-2} or x_{k+2} from the memo or from the pair kept
-    when the memo declined it, and only walks to it, under the same
-    deadline, when neither holds it.  max_predicted_terms skips cells
-    whose numerator support bound exceeds it, also as inconclusive.
+    one block of a step.  max_predicted_terms skips cells whose numerator
+    support bound exceeds it, also as inconclusive.
     A cell whose computation raises Inconclusive (a step the kernel could
     not certify, or one past its size guards or the deadline) is one
     inconclusive item, and the sweep goes on to the next cell.  These
@@ -274,8 +261,6 @@ def check_positivity_range(
                     continue
             try:
                 p = expand_in_cluster(t, k, m, deadline)
-                if "denominator" in checks:
-                    denominator = _denominator_item(base, j, cell, p, deadline)
             except Inconclusive as exc:
                 report.add(cell, INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
                 continue
@@ -294,45 +279,24 @@ def check_positivity_range(
                         f"coefficient {witness[1]} at exponent {witness[0]}",
                     )
             if "denominator" in checks:
-                report.add(*denominator)
+                report.add(*_denominator_item(base, j, cell, p))
     return report
 
 
-def _denominator_item(
-    base: ExchangeType, j: int, cell: str, p: LaurentPolynomial, deadline: float | None
-):
-    # p is x_j of type base.  The negated minimal exponents, unclamped, are
-    # the d-vector, and a cluster variable that is not an initial one has
-    # it nonnegative.  Finite types come back to y1 or y2 at other indices
-    # than the seed pair, so the initial ones are recognised by value, not
-    # by j.
-    if not _is_initial(p):
-        delta = tuple(-e for e in p.min_exponents())
-        if min(delta) < 0:
-            return f"{cell} denominator", FAIL, f"negative entry in d-vector {delta}"
-    den = p.denominator_exponents()
-    if base.b * base.c >= 4 and (j >= 3 or j <= 0):
-        # past the seed pair the max-norm must grow strictly over each
-        # Coxeter step, two indices toward the seed
-        prev = _denominator(base, j - 2 if j >= 3 else j + 2, deadline)
-        if max(den) <= max(prev):
-            return (
-                f"{cell} denominator",
-                FAIL,
-                f"max-norm {max(den)} did not grow past {max(prev)}",
-            )
-    return f"{cell} denominator", PASS, f"d-vector {den}"
-
-
-def _denominator(t: ExchangeType, k: int, deadline: float | None) -> tuple[int, int]:
-    # the denominator exponents of x_k from the pair kept for a value over
-    # the memo's term limit, else from cluster_variable (a memo hit, or a
-    # walk under the deadline); x_k for k <= 0 is x_{3-k} of type (c, b)
-    # mirrored
-    if k <= 0:
-        return _denominator(t.swapped, 3 - k, deadline)[::-1]
-    den = _DENOMINATORS.get((t.b, t.c, k))
-    return den or cluster_variable(t, k, deadline).denominator_exponents()
+def _denominator_item(base: ExchangeType, j: int, cell: str, p: LaurentPolynomial):
+    # p is x_j of type base.  Its d-vector, the negated minimal exponents
+    # unclamped, must be the tropical prediction.  Finite types come back to
+    # y1 or y2 at other indices than the seed pair, and where the prediction
+    # is an initial variable's, p must be that variable itself.
+    label = f"{cell} denominator"
+    delta = tuple(-e for e in p.min_exponents())
+    predicted = _tropical_denominator(base, j)
+    if delta != predicted:
+        return label, FAIL, f"d-vector {delta} differs from the predicted {predicted}"
+    if predicted in _SEED_DELTAS and not _is_initial(p):
+        name = p.context.names[predicted.index(-1)]
+        return label, FAIL, f"d-vector {delta} is {name}'s, but the value is not {name}"
+    return label, PASS, f"d-vector {p.denominator_exponents()}"
 
 
 def _is_initial(p: LaurentPolynomial) -> bool:

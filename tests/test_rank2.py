@@ -441,18 +441,51 @@ def test_sweep_denominator_check_on_b_or_c_one(b, c):
     assert report.all_passed and report.passed == 75
 
 
-def test_denominator_check_compares_two_indices_toward_the_seed():
-    # x_3 and x_4 of (2,3) have d-vectors (1, 0) and (2, 1), so a cell at
-    # j = 5 must have max-norm past 1, not past 2; x_1 (0, 0) bounds j = -1
+@pytest.mark.parametrize("b, c", [(3, 3), (2, 4), (4, 2)])
+def test_sweep_denominator_check_on_wild_types(b, c):
+    # the largest cell, x_9 of (3,3) at k=7 m=-1, bounds 54,810 terms
+    report = check_positivity_range(
+        ExchangeType(b, c), -4, 7, -1, 1, checks=("denominator",), max_predicted_terms=60_000
+    )
+    assert report.all_passed and report.passed == 36
+
+
+def test_tropical_d_vector_laws():
+    # checked on integers far past what the polynomials reach: a d-vector
+    # is an initial variable's or nonnegative; for bc >= 4 the max-norm of
+    # the clamped one grows over each Coxeter step of two, away from the
+    # seed pair; for bc <= 3 the sequence has period 5, 6 or 8
+    for b, c in itertools.product(range(1, 6), repeat=2):
+        t = ExchangeType(b, c)
+        delta = {k: rank2._tropical_denominator(t, k) for k in range(-42, 49)}
+        norm = {k: max(*d, 0) for k, d in delta.items()}
+        for k in range(-40, 41):
+            assert delta[k] in rank2._SEED_DELTAS or min(delta[k]) >= 0, (b, c, k)
+            if b * c >= 4 and k not in (1, 2):
+                assert norm[k] > norm[k - 2 if k >= 3 else k + 2], (b, c, k)
+            if b * c <= 3:
+                assert delta[k + {1: 5, 2: 6, 3: 8}[b * c]] == delta[k], (b, c, k)
+
+
+def test_denominator_check_compares_with_the_tropical_prediction():
+    # x_5 of (2,3) has the predicted d-vector (5, 3); a value with any other
+    # one fails, whatever its max-norm
+    assert rank2._tropical_denominator(T23, 5) == (5, 3)
+    x5 = expand_in_cluster(T23, 5, 1)
+    assert rank2._denominator_item(T23, 5, "k=5 m=1", x5) == (
+        "k=5 m=1 denominator", PASS, "d-vector (5, 3)"
+    )
     grown = Y({(-2, 0): 1, (0, 0): 1})
-    assert rank2._denominator_item(T23, 5, "k=5 m=1", grown, None)[1] == PASS
+    assert rank2._denominator_item(T23, 5, "k=5 m=1", grown) == (
+        "k=5 m=1 denominator", FAIL, "d-vector (2, 0) differs from the predicted (5, 3)"
+    )
     flat = Y({(-1, 0): 1, (-1, 3): 1})
-    assert rank2._denominator_item(T23, 5, "k=5 m=1", flat, None) == (
-        "k=5 m=1 denominator", FAIL, "max-norm 1 did not grow past 1"
+    assert rank2._denominator_item(T23, 5, "k=5 m=1", flat) == (
+        "k=5 m=1 denominator", FAIL, "d-vector (1, 0) differs from the predicted (5, 3)"
     )
     constant = Y({(0, 0): 2})
-    assert rank2._denominator_item(T23, -1, "k=-1 m=1", constant, None) == (
-        "k=-1 m=1 denominator", FAIL, "max-norm 0 did not grow past 0"
+    assert rank2._denominator_item(T23, -1, "k=-1 m=1", constant) == (
+        "k=-1 m=1 denominator", FAIL, "d-vector (0, 0) differs from the predicted (1, 3)"
     )
 
 
@@ -461,16 +494,19 @@ def test_denominator_check_fails_a_positive_minimal_exponent():
     # clamped denominator exponents (0, 1) would hide
     p = Y({(1, -1): 1, (1, 1): 1})
     assert p.denominator_exponents() == (0, 1)
-    cell, status, detail = rank2._denominator_item(T11, 4, "k=4 m=1", p, None)
+    cell, status, detail = rank2._denominator_item(T11, 4, "k=4 m=1", p)
     assert (cell, status) == ("k=4 m=1 denominator", FAIL)
-    assert detail == "negative entry in d-vector (-1, 1)"
+    assert detail == "d-vector (-1, 1) differs from the predicted (1, 1)"
     # an initial variable has d-vector (-1, 0) or (0, -1) by definition,
     # at whatever index it comes back; any other monomial fails
     y2 = Y({(0, 1): 1})
-    assert rank2._denominator_item(T11, 2, "k=2 m=1", y2, None)[1] == PASS
-    assert rank2._denominator_item(T11, 7, "k=7 m=1", y2, None)[1] == PASS
+    assert rank2._denominator_item(T11, 2, "k=2 m=1", y2)[1] == PASS
+    assert rank2._denominator_item(T11, 7, "k=7 m=1", y2)[1] == PASS
     for q in (Y({(2, 0): 1}), Y({(0, 1): 2})):
-        assert rank2._denominator_item(T11, 7, "k=7 m=1", q, None)[1] == FAIL
+        assert rank2._denominator_item(T11, 7, "k=7 m=1", q)[1] == FAIL
+    assert rank2._denominator_item(T11, 7, "k=7 m=1", Y({(0, 1): 2}))[2] == (
+        "d-vector (0, -1) is y2's, but the value is not y2"
+    )
 
 
 def test_sweep_budget_reports_inconclusive():
@@ -547,9 +583,9 @@ def test_no_budget_never_reads_the_clock(short_blocks):
 def test_denominator_check_steps_under_the_deadline():
     # with the memo's term limit at 100, (2,3) x_7 (131 terms) and later
     # variables are walked again on every request; the denominator check
-    # reads the cell's d-vector off the cell and its neighbour's from the
-    # pair kept when the memo declined it, and every step of the walk
-    # runs under the sweep's deadline
+    # reads the cell's d-vector off the cell and compares it with the
+    # tropical prediction, integers only, so it walks no step, and every
+    # step of the cell's walk runs under the sweep's deadline
     deadlines = []
 
     def packed_div(base, den, e, deadline=None, kernel=_packed.positive_exact_div):
@@ -568,13 +604,12 @@ def test_denominator_check_steps_under_the_deadline():
         assert deadlines and None not in deadlines
         return len(deadlines)
 
-    # x_7, two indices toward the seed from the cell x_9, is not walked
-    # again: the cell's walk computed it
+    # a cell over the limit costs no step more with the check than without
     assert sweep(100, ("laurent", "denominator")) == sweep(100, ("laurent",))
-    # nor is x_-4 from the cell x_-6, mirrored from x_7 (91 terms) and x_9
-    # of (3,2)
+    # nor does the cell x_-6, mirrored from x_9 of (3,2), whose x_7 (91
+    # terms) is over the limit too
     assert sweep(50, ("laurent", "denominator"), -6) == sweep(50, ("laurent",), -6)
-    # a cell over the limit whose x_{j-2} is memoized costs no step more
+    # nor a cell over the limit whose earlier steps the memo keeps
     assert sweep(1000, ("laurent", "denominator")) == sweep(1000, ("laurent",))
 
 
