@@ -15,13 +15,6 @@ slot, divides, and unpacks only the quotient.  Recurrence sweeps spend
 nearly all their time in these steps, so running them on a subquadratic
 big-number library is worth the bookkeeping.
 
-The slots are first one digit wider than any operand or numerator
-coefficient, which packs the numerator without carries, and a carry
-bound, the smallest of four bounds on every coefficient sum of the
-product quotient * divisor, is checked on the quotient found.  Only when
-that bound fails is the step divided again at a width bounded ahead of
-time, where a true quotient always passes.
-
 The packed numbers are ``gmpy2.mpz`` when gmpy2 is importable and
 ``decimal.Decimal`` otherwise.  CPython's ``decimal`` is libmpdec, which
 multiplies by number-theoretic transform and divides by Newton iteration,
@@ -33,15 +26,19 @@ changed.
 
 The kernel takes term dicts and returns a plain exponent-tuple ->
 coefficient dict, or None when it cannot prove its answer: an operand
-with a coefficient <= 0, which the carry bound does not cover, a divisor
+with a coefficient <= 0, which the certificate does not cover, a divisor
 off the numerator's lattice or box, a nonzero remainder, or a failed
 certificate.  Callers must treat None as "not proven", never as a
 divisibility verdict.  Along the recurrence every x_k is a positive
 Laurent polynomial, so none of these cases arises there, and ``rank2``
 reports a None as inconclusive.  A packing past MEMORY_CAP or a slot past
 the interpreter's int/str conversion limit raises BudgetExceeded.  The
-quotient is certified by its support and a carry bound before it is
-returned, so an accidental integer divisibility can never leak through
+slots are one digit wider than any operand or numerator coefficient, and
+the quotient found is certified before it is returned: quotient *
+divisor must stay inside the numerator's box, and at x = (1, 1) it must
+equal base**e + 1.  With no coefficient negative, a carry between slots
+lowers the digit total, so the equality holds exactly when no slot
+carried, and an accidental integer divisibility can never leak through
 as a wrong polynomial quotient.
 
 The slot bookkeeping is plain Python over digit strings: terms are
@@ -61,7 +58,7 @@ from __future__ import annotations
 import decimal
 import sys
 import time
-from math import gcd, isqrt
+from math import gcd
 
 from .report import BudgetExceeded
 
@@ -91,7 +88,9 @@ _EXACT = decimal.Context(
 )
 
 # Largest pack buffer we are willing to build, in bytes (one per digit).
-# Steps that would exceed it raise BudgetExceeded instead of thrashing memory.
+# Steps that would exceed it raise BudgetExceeded instead of thrashing
+# memory.  The guard judges the wide slot width, which the kernel never
+# builds: it packs at the narrow width, at most as wide.
 MEMORY_CAP = 1_500_000_000
 
 # Floor on the block length of the long division, in digits.  Blocks this
@@ -319,10 +318,11 @@ def positive_exact_div(
     None means "not proven" and covers every such case: a coefficient
     <= 0, divisor support not on the numerator lattice, divisor box wider
     than the numerator box, nonzero integer remainder, or a failed
-    certificate.  A packing past MEMORY_CAP or a slot past the int/str
-    conversion limit raises BudgetExceeded before anything is packed.
-    When a dict is returned, quotient * den == base**e + 1 holds exactly
-    over Z.
+    certificate (quotient * den leaving the numerator box, or its value at
+    x = (1, 1) differing from base**e + 1's, which means a slot carried).
+    A packing past MEMORY_CAP or a slot past the int/str conversion limit
+    raises BudgetExceeded before anything is packed.  When a dict is
+    returned, quotient * den == base**e + 1 holds exactly over Z.
 
     With a `deadline` (a time.monotonic() value), the clock is read before
     each block of the long division, and a step found past it raises
@@ -354,96 +354,78 @@ def positive_exact_div(
     # a coefficient of base**e sums at most len(base)**(e-1) products of e
     # coefficients, so this bounds every numerator coefficient
     max_n = len(base) ** (e - 1) * max(base.values()) ** e + 1
-    # A true quotient passes the carry bound below at the wide width, and
-    # the size guards are judged there.  The narrow width, one digit more
-    # than any operand or numerator coefficient, packs them all without
-    # carries too, and a true quotient's coefficients (at most max_n) fill
-    # its slots exactly.  So a nonzero remainder or a support failure
-    # there means no quotient the wide width could certify either; only
-    # the carry bound can fail on a true quotient, and then the step is
-    # divided again at the wide width.
+    # The size guards judge `wide`, whose slots would hold every
+    # coefficient of quot*den for any quotient of coefficients up to
+    # max_n, though no number is packed at it.  The step is packed at
+    # `width`, one digit more than any operand or numerator coefficient
+    # (or `wide`, if smaller), which packs them all without carries.
     wide = _width(len(den) * max_n * max_d)
     strides = _geometry(sizes, wide)
-    narrow = min(_width(max(max_n, max_d)) + 1, wide)
+    width = min(_width(max(max_n, max_d)) + 1, wide)
     mins_q = [mins_n[i] - mins_d[i] for i in range(n)]
     # base**e starts at the slot of e*mins_b, the constant at the origin's
     shift = _slot([e * m for m in mins_b], mins_n, steps, strides)
     one = _slot([0] * n, mins_n, steps, strides)
     top = sizes[0] * strides[0]
-    for width in sorted({narrow, wide}):
-        # Long division by blocks of whole slots, from the top, each block
-        # at least as long as the divisor.  The quotient of a block fills
-        # exactly the block's slots, and the scratch space of a division
-        # follows the block length, not the numerator's.
-        block = max(1 + _slot(maxs_d, mins_d, steps, strides), _MIN_BLOCK_DIGITS // width)
-        blocks = (top - 1) // block + 1
-        quot: dict = {}
-        rem = 0
-        hi = top
-        with decimal.localcontext(_EXACT):
-            pd = _pack(den, mins_d, steps, strides, width)
-            # every slot of the power holds one coefficient of base**e,
-            # below the slot modulus, so the power packs base**e without
-            # carries
-            rest = _pack(base, mins_b, steps, strides, width) ** e
-            if shift:
-                rest *= _ten(shift * width)
-            if blocks > 1:
-                # one reciprocal of the divisor serves every block
-                bl = block * width
-                pd_digits = _digits(pd)
-                recip = _reciprocal(pd, pd_digits, bl)
-            for i, lo in enumerate(range((blocks - 1) * block, -1, -block), 1):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceeded(
-                        f"time budget exhausted before block {i} of {blocks} of the division"
-                    )
-                part, rest = _split(rest, lo * width)
-                if lo <= one < hi:
-                    part += _ten((one - lo) * width)
-                digits = (hi - lo) * width
-                part += rem * _ten(digits)
-                if blocks == 1:
-                    q, rem = divmod(part, pd)
-                else:
-                    # the top block may be short: floor(recip / 10**s) is
-                    # the reciprocal for a block s digits shorter
-                    r = recip if digits == bl else _shift(recip, bl - digits)
-                    q, rem = _block_divmod(part, pd, pd_digits, r, digits)
-                _unpack(q, lo, quot, mins_q, steps, sizes, width)
-                hi = lo
-        if rem:
-            return None
-        # Certificate: if quot*den stays inside the numerator box, so that
-        # no slot wraps into the next row, and every convolution sum stays
-        # below the slot modulus (_carry_bounded), then q*pd is the packing
-        # of quot*den digit for digit, and the integer identity is the
-        # polynomial identity.  A true quotient always passes at the wide
-        # width (its support is a Minkowski summand of the numerator's, and
-        # its coefficients are bounded by max_n, by pairing against the
-        # divisor's minimal corner, so the first of the four bounds holds
-        # there).  A zero remainder on a nonzero numerator leaves a nonzero
-        # quotient, so quot has terms.
-        if any(max(x[i] for x in quot) + maxs_d[i] > maxs_n[i] for i in range(n)):
-            return None
-        if _carry_bounded(quot, den, 10 ** width):
-            return quot
-    return None
-
-
-def _carry_bounded(quot: dict, den: dict, modulus: int) -> bool:
-    """Whether every convolution sum of quot * den is below `modulus`.
-
-    Both have positive coefficients, so each sum is at most each of
-    min(len(quot), len(den)) * max(quot) * max(den), max(quot) * sum(den),
-    sum(quot) * max(den) and, by Cauchy-Schwarz, isqrt(sum(quot**2) *
-    sum(den**2)) + 1; the smallest decides, and they are tried cheapest
-    first.
-    """
-    max_q, max_d = max(quot.values()), max(den.values())
-    if min(len(quot), len(den)) * max_q * max_d < modulus:
-        return True
-    if min(max_q * sum(den.values()), sum(quot.values()) * max_d) < modulus:
-        return True
-    squares = sum(c * c for c in quot.values()) * sum(c * c for c in den.values())
-    return isqrt(squares) + 1 < modulus
+    # Long division by blocks of whole slots, from the top, each block at
+    # least as long as the divisor.  The quotient of a block fills exactly
+    # the block's slots, and the scratch space of a division follows the
+    # block length, not the numerator's.
+    block = max(1 + _slot(maxs_d, mins_d, steps, strides), _MIN_BLOCK_DIGITS // width)
+    blocks = (top - 1) // block + 1
+    quot: dict = {}
+    rem = 0
+    hi = top
+    with decimal.localcontext(_EXACT):
+        pd = _pack(den, mins_d, steps, strides, width)
+        # every slot of the power holds one coefficient of base**e, below
+        # the slot modulus, so the power packs base**e without carries
+        rest = _pack(base, mins_b, steps, strides, width) ** e
+        if shift:
+            rest *= _ten(shift * width)
+        if blocks > 1:
+            # one reciprocal of the divisor serves every block
+            bl = block * width
+            pd_digits = _digits(pd)
+            recip = _reciprocal(pd, pd_digits, bl)
+        for i, lo in enumerate(range((blocks - 1) * block, -1, -block), 1):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"time budget exhausted before block {i} of {blocks} of the division"
+                )
+            part, rest = _split(rest, lo * width)
+            if lo <= one < hi:
+                part += _ten((one - lo) * width)
+            digits = (hi - lo) * width
+            part += rem * _ten(digits)
+            if blocks == 1:
+                q, rem = divmod(part, pd)
+            else:
+                # the top block may be short: floor(recip / 10**s) is the
+                # reciprocal for a block s digits shorter
+                r = recip if digits == bl else _shift(recip, bl - digits)
+                q, rem = _block_divmod(part, pd, pd_digits, r, digits)
+            _unpack(q, lo, quot, mins_q, steps, sizes, width)
+            hi = lo
+    if rem:
+        return None
+    # Certificate.  A zero remainder on a nonzero numerator leaves a
+    # nonzero quotient, so quot has terms.  If quot*den stays inside the
+    # numerator box, no slot wraps into the next row, and then, with Q
+    # the packed quotient whose blocks were unpacked into quot:
+    # - Q*pd is the packed numerator, and every numerator coefficient is
+    #   below 10**width, so its slots hold exactly those coefficients;
+    # - Q*pd is also the sum of quot*den's coefficients at their slots,
+    #   each >= 0, as den > 0 is checked on entry and quot's coefficients
+    #   are digits;
+    # - reducing those sums to base-10**width digits lowers their total by
+    #   10**width - 1 per carry, so the totals, quot*den and base**e + 1
+    #   at x = (1, ..., 1), agree exactly when no slot carried, and then
+    #   the integer identity is the polynomial identity.
+    # A true quotient fills its slots exactly (its coefficients are at
+    # most max_n) and passes both checks.
+    if any(max(x[i] for x in quot) + maxs_d[i] > maxs_n[i] for i in range(n)):
+        return None
+    if sum(quot.values()) * sum(den.values()) != sum(base.values()) ** e + 1:
+        return None
+    return quot

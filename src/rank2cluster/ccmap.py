@@ -150,9 +150,6 @@ def _resolve(b: int, c: int, vertex: str, shift: int) -> CCObject:
     hit = _match(at, inj)
     if hit is not None:
         return CCObject("injective", vertex=hit, dims=at, translate=translate)
-    if sum(at) == 1:
-        hit = Q.vertices[at.index(1)]
-        return CCObject("simple", vertex=hit, dims=at, translate=translate)
     return CCObject("generic", vertex=anchor_vertex, dims=at, translate=translate)
 
 

@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["Pv", "Pw", "Iv", "Iw", "Sv", "Sw", "generic"],
         required=True,
     )
-    p.add_argument("--index", type=int, default=1, help="vertex subscript (ignored for generic)")
+    p.add_argument("--index", type=int, default=None, help="vertex subscript (default 1)")
     p.add_argument("--dim", type=_int_list, default=None, help="dims d1,... (generic only)")
     p.add_argument("--sub", type=_int_list, required=True, help="submodule dims e1,...")
     _add_seed(p)
@@ -252,11 +252,13 @@ def _module_spec_for(args: argparse.Namespace) -> ModuleSpec:
     if args.module == "generic":
         if args.dim is None:
             raise ValueError("--dim is required for a generic module")
+        if args.index is not None:
+            raise ValueError("--index applies only to vertex modules")
         return ModuleSpec(Q, "generic", dims=args.dim)
     if args.dim is not None:
         raise ValueError("--dim applies only to generic modules")
     kind = {"P": "projective", "I": "injective", "S": "simple"}[args.module[0]]
-    vertex = f"{args.module[1]}{args.index}"
+    vertex = f"{args.module[1]}{1 if args.index is None else args.index}"
     return ModuleSpec(Q, kind, vertex=vertex)
 
 
@@ -267,7 +269,7 @@ def _cmd_euler(args: argparse.Namespace) -> tuple:
         "chi": chi,
         "dims": list(spec.dimension_vector),
         "e": list(args.sub),
-        "module": args.module if args.module == "generic" else f"{args.module}{args.index}",
+        "module": args.module if args.module == "generic" else args.module[0] + spec.vertex,
     }
     return [result], None, lambda: str(chi)
 

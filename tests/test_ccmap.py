@@ -122,6 +122,22 @@ def test_index_dictionary_wraps_in_finite_type():
     assert (top.kind, top.vertex, top.translate) == ("projective", "v1", 3)
 
 
+def test_index_dictionary_never_resolves_a_simple():
+    # a sink has no arrow out and a source no arrow in, so S_w = P_w and
+    # S_v = I_v: every unit dimension vector is a row or a column of
+    # path_counts, and the walk names each one projective or injective
+    for b in range(1, 9):
+        for c in range(1, 9):
+            counts = kronecker_quiver(b, c).path_counts
+            rows_and_columns = set(counts) | set(zip(*counts))
+            n = b + c
+            assert all(tuple(int(i == j) for j in range(n)) in rows_and_columns for i in range(n))
+    for b in range(1, 7):
+        for c in range(1, 7):
+            for k in range(-25, 26):
+                assert object_for_index(b, c, k).kind != "simple", (b, c, k)
+
+
 # ---------------------------------------------------------------------------
 # characters of the four explicit modules
 

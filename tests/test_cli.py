@@ -221,6 +221,12 @@ def test_euler_usage_errors(capsys):
         "--dim", "1,1,1,1", "--sub", "0,0,0,0",
     )
     assert code == 2 and "--dim applies only" in err
+    code, _, err = run(
+        capsys,
+        "euler", "--b", "2", "--c", "2", "--module", "generic", "--index", "7",
+        "--dim", "1,2,1,1", "--sub", "0,0,0,0",
+    )
+    assert code == 2 and "--index applies only" in err
     # a KeyError's message is printed as it reads, not as its repr
     code, _, err = run(
         capsys,

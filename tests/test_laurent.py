@@ -482,6 +482,8 @@ def _value_mod(terms, point, p):
         # divisor wraps past the box into the numerator's slots
         ({(2, -1): 1}, {(-1, 1): 1, (-1, 0): 1}, 1),
         ({(-2, 0): 3, (-2, 2): 2}, {(-1, -2): 1, (-1, 0): 1}, 2),
+        # the wrapped quotient x2**2 passes the no-carry check, 1 * 2 == 1 + 1
+        ({(-1, 1): 1}, {(-1, -1): 1, (-1, 0): 1}, 1),
     ],
 )
 def test_packed_div_certifies_the_quotient_support(base, den, e):
@@ -489,7 +491,8 @@ def test_packed_div_certifies_the_quotient_support(base, den, e):
     # no quotient exists: a multiple of the divisor vanishes wherever the
     # divisor does, and at some point of (F_5^*)^2 the numerator does not
     # (the first at (2, -1), where the divisor is 0 and the numerator -3,
-    # the second at (1, 2), where they are 0 and 2 mod 5)
+    # the second at (1, 2), where they are 0 and 2 mod 5, the third at
+    # (2, -1), where they are 0 and 3 mod 5)
     num = _step_numerator(base, e)
     assert any(
         _value_mod(den, point, 5) == 0 and _value_mod(num, point, 5) != 0
@@ -516,7 +519,7 @@ def test_packed_step_matches_sparse_step(b, c):
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("bad", [0, -1])
 def test_packed_kernels_decline_non_positive_coefficients(kernel, side, bad):
-    # the carry bound only holds for positive terms: with a -1 the digits
+    # the no-carry check only holds for positive terms: with a -1 the digits
     # of a packed power or quotient no longer read back as coefficients
     operands = [{(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (1, 0): 1}]
     operands[side] = {**operands[side], (0, 0): bad}
@@ -747,12 +750,12 @@ def test_multi_block_steps_at_full_size(b, c, k):
     assert LaurentPolynomial(X, quot) * prev == num
 
 
-def test_packed_div_retries_at_the_wide_width():
-    # The kernel first divides at a slot one digit wider than any operand
-    # or numerator coefficient: 7 digits here, as max_n = 899,992.  Its
-    # carry bound, 21 * 99,999 * 9 >= 10**7, fails on this true quotient,
-    # so the step is divided again at the wide width (9 digits), where the
-    # bound holds.
+def test_packed_div_certifies_at_the_first_width():
+    # The kernel divides at a slot one digit wider than any operand or
+    # numerator coefficient: 7 digits here, as max_n = 899,992.  A product
+    # coefficient bound, 21 * 99,999 * 9 >= 10**7, does not hold there, but
+    # no slot of quot * den carries, so the true quotient is certified
+    # without a second division.
     den = {(i, 0): 9 for i in range(21)}
     quot = {(0, j): 99_999 for j in range(21)}
     base = _convolve(den, quot)
@@ -765,14 +768,12 @@ def test_packed_div_retries_at_the_wide_width():
 
     with mock.patch.object(_packed, "_pack", pack):
         assert _packed.positive_exact_div(base, den, 1) == quot
-    assert packs == [7, 7, 9, 9]
+    assert packs == [7, 7]
 
 
 def test_packed_div_certifies_with_the_smallest_carry_bound():
     # The (5,1) x_11 step divides x_10 + 1 (1,591 terms) by x_9 (136
-    # terms) at 32-digit slots.  min(len) * max * max has 33 digits there,
-    # but a sum bound is below 10**32, so the step packs only at the narrow
-    # width and is not divided again at the wide one.
+    # terms) at 32-digit slots, packing each operand once.
     t = ExchangeType(5, 1)
     base, den = cluster_variable(t, 10)._terms, cluster_variable(t, 9)._terms
     packs = []
@@ -785,25 +786,11 @@ def test_packed_div_certifies_with_the_smallest_carry_bound():
         quot = _packed.positive_exact_div(base, den, 1)
     assert packs == [32, 32]
     assert quot == cluster_variable(t, 11)._terms
-    modulus = 10**32
-    assert min(len(quot), len(den)) * max(quot.values()) * max(den.values()) >= modulus
-    assert _packed._carry_bounded(quot, den, modulus)
 
 
-_POSITIVE_TERMS = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-    st.integers(1, 10**6),
-    min_size=1,
-    max_size=8,
-)
-
-
-@given(_POSITIVE_TERMS, _POSITIVE_TERMS)
-@settings(max_examples=200, deadline=None)
-def test_carry_bound_is_a_certificate(quot, den):
-    # no bound may certify a modulus that the largest product coefficient
-    # reaches, and one above every bound is always certified
-    largest = max(_convolve(quot, den).values())
-    assert not _packed._carry_bounded(quot, den, largest)
-    bound = min(len(quot), len(den)) * max(quot.values()) * max(den.values())
-    assert _packed._carry_bounded(quot, den, bound + 1)
+def test_packed_div_declines_a_carried_quotient():
+    # (x2/x1 + 1) / 2 packs at 1-digit slots as 110 / 2 = 55, an exact
+    # division whose quotient {(-1, 0): 5, (-1, 1): 5} fits the box; but
+    # each 5 * 2 carries into the next slot, and at x = (1, 1) the
+    # quotient's 10 * 2 differs from the numerator's 2
+    assert _packed.positive_exact_div({(-1, 1): 1}, {(0, 0): 2}, 1) is None
